@@ -44,8 +44,7 @@ import numpy as np
 def compact_levels(levels: np.ndarray) -> np.ndarray:
     """Store exact integer levels in the smallest sufficient unsigned dtype.
 
-    Smaller gather outputs keep the fast engine's merge input cache-resident;
-    the merge itself up-casts to float64 (exactly) while accumulating.
+    Smaller gather outputs keep the fast engine's merge input cache-resident.
     """
     max_level = int(levels.max(initial=0))
     for dtype in (np.uint8, np.uint16, np.uint32):
@@ -124,33 +123,69 @@ def compose_transfer_lut(lut: AdcTransferLut, value_map: np.ndarray) -> AdcTrans
     )
 
 
+def joint_level_table(
+    levels: np.ndarray, radix: int, group: int, shift_bits: int
+) -> np.ndarray:
+    """Level table over ``group`` base-``radix`` digits, one per input cycle.
+
+    Entry ``I = Σ_i radix^i · v_i`` (digit ``v_i`` < ``radix``) holds
+    ``Σ_i levels[v_i] << (i · shift_bits)``: the shift-and-add merge of the
+    ``group`` per-cycle levels, so one gather converts and merges a whole
+    group of DAC cycles.  ``group=1`` returns the levels themselves
+    (compacted).
+    """
+    levels = np.asarray(levels, dtype=np.int64)
+    if levels.size != radix:
+        raise ValueError(f"expected {radix} levels, got {levels.size}")
+    table = np.zeros(1, dtype=np.int64)
+    for digit in range(group):
+        shifted = levels << (digit * shift_bits)
+        table = (shifted[:, None] + table[None, :]).reshape(-1)
+    return compact_levels(table)
+
+
+def marginal_counts(hist: np.ndarray, radix: int, group: int) -> np.ndarray:
+    """Per-value histogram from a histogram of joint indices.
+
+    ``hist[I]`` counts joint indices ``I = Σ_i radix^i · v_i``; the result
+    counts every digit ``v_i`` separately, i.e. it equals the sum of the
+    ``group`` per-cycle ``np.bincount`` histograms (shape ``(radix,)``).
+    """
+    joint = np.asarray(hist, dtype=np.int64).reshape((radix,) * group)
+    axes = range(group)
+    return sum(
+        joint.sum(axis=tuple(other for other in axes if other != axis))
+        for axis in axes
+    )
+
+
 #: Elements per gather tile; sized so a tile's integer codes and gathered
 #: levels stay cache-resident (shared with the fused crossbar kernel).
 GATHER_TILE = 1 << 18
 
 
 def gather_levels(
-    lut: AdcTransferLut,
+    table: np.ndarray,
     flat_values: np.ndarray,
-    counts: np.ndarray,
+    counts: Optional[np.ndarray],
     out_levels: np.ndarray,
     tile: int = GATHER_TILE,
 ) -> None:
-    """Tiled integer-LUT gather with an exact code histogram, in place.
+    """Tiled integer gather from ``table`` with an exact index histogram.
 
-    ``flat_values`` holds exact integer bit-line values (any float/int
-    dtype); the corresponding output *levels* are gathered into
-    ``out_levels`` and the per-value histogram is accumulated into
-    ``counts`` (shape ``(lut.max_value + 1,)``), from which
-    :meth:`LutConversionMixin.record_code_counts` later derives exact
-    operation/region totals.  This is the conversion core of the fused
-    crossbar kernel — including its batched Monte Carlo variant, where one
-    call per trial applies that trial's (differently-sized) composed LUT.
-    Raises ``ValueError`` when a value exceeds the LUT bound.
+    ``flat_values`` holds exact non-negative integer indices into ``table``
+    (any float/int dtype) — bit-line values for a per-value level table,
+    joint indices for a :func:`joint_level_table`.  The gathered entries
+    are written to ``out_levels`` and, unless ``counts`` is ``None``, the
+    per-index histogram is accumulated into ``counts`` (shape
+    ``(table.size,)``), from which the converter's exact operation/region
+    totals are derived.  This is the conversion core of the fused crossbar
+    kernel.  Raises ``ValueError`` when a histogrammed value exceeds the
+    table bound.
 
     The array primitives route through the active :mod:`repro.backend`
     array-ops shim; under the default numpy backend they are the exact
-    ``np.bincount``/``np.take`` calls this helper replaced.
+    ``np.bincount``/``np.take`` calls.
     """
     from repro.backend import active_ops  # lazy: keep adc import-light
 
@@ -159,14 +194,15 @@ def gather_levels(
     for start in range(0, size, tile):
         stop = min(start + tile, size)
         codes = flat_values[start:stop].astype(np.int64)
-        tile_counts = ops.bincount(codes, minlength=counts.size)
-        if tile_counts.size > counts.size:
-            raise ValueError(
-                f"bit-line value {int(codes.max())} exceeds the LUT bound "
-                f"{lut.max_value}"
-            )
-        counts += tile_counts
-        ops.take(lut.levels, codes, out=out_levels[start:stop])
+        if counts is not None:
+            tile_counts = ops.bincount(codes, minlength=counts.size)
+            if tile_counts.size > counts.size:
+                raise ValueError(
+                    f"bit-line value {int(codes.max())} exceeds the LUT bound "
+                    f"{counts.size - 1}"
+                )
+            counts += tile_counts
+        ops.take(table, codes, out=out_levels[start:stop])
 
 
 class TrialLutGather:

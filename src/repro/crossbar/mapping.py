@@ -25,25 +25,48 @@ Simulation engines
 * ``"reference"`` — the original loop over ``num_input_cycles ×
   num_segments`` blocks, one matmul and one element-wise ADC conversion per
   block.  Slow but maximally transparent; kept as the verification oracle.
-* ``"fast"`` — the fused kernel: all input cycles of a batch are stacked into
-  one ``(cycles · batch, segment_rows)`` operand so each segment needs a
-  single matmul, and ADC conversion runs in the *integer domain*.  Bit-line
-  values are exact non-negative integers bounded by ``segment_rows ·
-  (2^RDA − 1) · (2^Rcell − 1)``, so LUT-capable ADCs (see
-  :mod:`repro.adc.lut`) convert them with one integer gather and derive exact
-  region/op totals from ``np.bincount`` instead of per-element float math.
+* ``"fast"`` — the fused kernel, which packs *groups* of input cycles into
+  one operand.  Bit-line values are exact non-negative integers below a
+  radix ``R = max_bitline_value + 1``, and they are linear in the inputs.
+  So when ``g`` consecutive DAC slices of an input row are written into one
+  float32 operand row as base-``R`` digits (``Σ R^i · slice_i``), a single
+  GEMM per segment yields the joint index ``I = Σ R^i · v_i`` of all ``g``
+  cycles' bit-line values.  LUT-capable ADCs (see :mod:`repro.adc.lut`)
+  then convert the whole group with one ``take`` from a joint level table
+  ``J[I] = Σ levels[v_i] << (i · RDA)``, and the per-value histogram that
+  yields the exact op and region totals is the marginal of one
+  ``np.bincount`` over ``I``.  The groups and segments collapse by int64
+  shift-and-add, and one float64 GEMM with a ``(columns × out)`` ±2^p
+  sign/plane merge matrix produces the outputs.  Ideal conversion runs the
+  same kernel with the identity level table and charges the analytic
+  baseline op count.
+
+  ``g`` is the largest divisor of ``num_input_cycles`` with ``R^g ≤
+  min(2^16, rows · columns)`` (:func:`cycle_group_size`): it follows from
+  the layer and chunk geometry, and the joint table is never larger than
+  one group's gather.  ``g`` is 1 — one block per input cycle — whenever a
+  ``partial_observer`` or per-block noise needs the per-cycle blocks.
 
 Bit-reproducibility rests on the **integer-domain invariant**: every quantity
-the datapath merges is an exact small integer.  ADCs with a uniform level
-grid expose integer *output levels* ``k`` (quantized value = ``scale · k``
-exactly), the shift-and-add factors and DAC cycle weights are signed powers
-of two, and every partial sum stays far below ``2^53`` — so float64
-accumulation is exact in *any* order.  Both engines therefore compute the
-same exact integers, scale them once per output, and produce bit-identical
-results with identical operation counts (asserted by the test suite and by
-``benchmarks/bench_engine_fastpath.py``).  Converters without a level grid
-(e.g. the non-uniform baseline) take an element-wise fallback inside the
-fused kernel that replays the reference merge semantics.
+the datapath merges is an exact integer.  ADCs with a uniform level grid
+expose integer *output levels* ``k`` (quantized value = ``scale · k``
+exactly), and the shift-and-add factors and DAC cycle weights are signed
+powers of two.  The fast engine keeps three bounds that make every step
+exact:
+
+* joint indices stay below ``2^16 < 2^24``, so the float32 GEMM that forms
+  them is exact (all its partial sums are non-negative integers below the
+  final index);
+* the group/segment collapse runs in int64;
+* the merged sums stay below ``2^53``, so the float64 merge GEMM is exact in
+  any summation order.
+
+Both engines therefore compute the same exact integers, scale them once per
+output, and produce bit-identical results with identical operation counts
+(asserted by the test suite and by ``benchmarks/bench_engine_fastpath.py``).
+Converters without a level grid (e.g. the non-uniform baseline) take an
+element-wise fallback inside the fused kernel that replays the reference
+merge semantics.
 
 Device non-idealities (the optional ``noise`` argument, a
 :class:`repro.nonideal.stack.LayerNoiseState`) perturb the raw bit-line
@@ -72,7 +95,14 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.adc.lut import TrialLutGather, compose_transfer_lut, gather_levels
+from repro.adc.lut import (
+    TrialLutGather,
+    compact_levels,
+    compose_transfer_lut,
+    gather_levels,
+    joint_level_table,
+    marginal_counts,
+)
 from repro.backend import active_ops
 from repro.crossbar.slicing import (
     num_slices,
@@ -108,6 +138,32 @@ class CrossbarTopology:
 
 
 DEFAULT_TOPOLOGY = CrossbarTopology()
+
+#: Largest joint index of a digit-packed cycle group: keeps the packed float32
+#: GEMM exact (indices < 2^16 < 2^24) and the joint level table small.
+MAX_JOINT_INDEX = 1 << 16
+
+
+def cycle_group_size(radix: int, num_cycles: int, elements: int) -> int:
+    """Input cycles the fast engine digit-packs into one GEMM operand row.
+
+    The largest divisor ``g`` of ``num_cycles`` whose joint index range
+    ``radix^g`` stays within :data:`MAX_JOINT_INDEX` and within ``elements``
+    (the chunk's ``rows × columns`` bit-line values per cycle), so the
+    joint level table is never larger than one group's gather.  At least 1.
+    Every bit-line bound is a multiple of the largest DAC code, so a radix
+    of at least 2 is at least ``2^RDA``: a group's input field (``g · RDA``
+    bits, see :meth:`MappedMVMLayer._stack_cycles`) then spans at most 16
+    bits too.
+    """
+    if radix < 2:  # a single-valued domain (all-zero weights): nothing to pack
+        return 1
+    limit = min(MAX_JOINT_INDEX, elements)
+    return max(
+        group
+        for group in range(1, num_cycles + 1)
+        if num_cycles % group == 0 and (group == 1 or radix**group <= limit)
+    )
 
 
 @dataclasses.dataclass
@@ -177,9 +233,10 @@ class MappedMVMLayer:
             dtype=np.float64,
         )
         self._merge_factors = np.stack([plane_shifts, -plane_shifts], axis=0)  # (2, planes)
-        # Fused (cycle, sign, plane) factors of the fast engine: every entry is
-        # an exact (signed) power of two, so multiplying integer levels by it
-        # and summing in float64 is exact arithmetic.
+        # Fused (cycle, sign, plane) factors of the batched Monte Carlo kernel
+        # (:meth:`_matmul_fast_trials`): every entry is an exact (signed) power
+        # of two, so multiplying integer levels by it and summing in float64 is
+        # exact arithmetic.
         cycle_shifts = np.array(
             [1 << (c * topology.dac_bits) for c in range(self.num_input_cycles)],
             dtype=np.float64,
@@ -330,13 +387,18 @@ class MappedMVMLayer:
             return self._matmul_fast(input_codes, adc, partial_observer, noise)
         raise ValueError(f"unknown engine {engine!r} (expected 'fast' or 'reference')")
 
-    def _stack_cycles(self, input_codes: np.ndarray) -> np.ndarray:
+    def _stack_cycles(
+        self, input_codes: np.ndarray, group: int = 1, radix: int = 1
+    ) -> np.ndarray:
         """Temporal slicing fused with cycle stacking for the fast engine.
 
-        Writes the ``num_cycles`` DAC slices directly into one reused
-        ``(cycles · batch, in_features)`` float32 operand (cycle-major), with
-        the same range validation and slice values as
-        :func:`repro.crossbar.slicing.slice_inputs_temporal`.
+        Writes the DAC slices into one reused ``(cycles / group · batch,
+        in_features)`` float32 operand (group-major), with the same range
+        validation and slice values as
+        :func:`repro.crossbar.slicing.slice_inputs_temporal`.  Each row of
+        group ``j`` digit-packs the slices of cycles ``j·group … j·group +
+        group − 1`` as ``Σ_i radix^i · slice_(j·group+i)``; ``group=1`` is
+        plain cycle stacking.
         """
         activation_bits = self.quant_config.activation_bits
         dac_bits = self.topology.dac_bits
@@ -349,16 +411,25 @@ class MappedMVMLayer:
                 raise ValueError(
                     f"values exceed {activation_bits} bits (max={codes.max()})"
                 )
+        num_groups = self.num_input_cycles // group
         stacked = self._fast_buffer(
-            "stacked", (self.num_input_cycles * batch, self.in_features), np.float32
+            "stacked", (num_groups * batch, self.in_features), np.float32
         )
-        view = stacked.reshape(self.num_input_cycles, batch, self.in_features)
+        view = stacked.reshape(num_groups, batch, self.in_features)
+        # A group reads one (group · RDA)-bit field of every code; tabulate
+        # the packed row value of each field once, then gather per group.
+        field_bits = group * dac_bits
+        fields = np.arange(1 << field_bits)
         mask = (1 << dac_bits) - 1
-        for cycle_index in range(self.num_input_cycles):
-            np.copyto(
-                view[cycle_index],
-                (codes >> (cycle_index * dac_bits)) & mask,
-                casting="unsafe",
+        packed = sum(
+            radix**digit * ((fields >> (digit * dac_bits)) & mask)
+            for digit in range(group)
+        ).astype(np.float32)
+        for group_index in range(num_groups):
+            np.take(
+                packed,
+                (codes >> (group_index * field_bits)) & ((1 << field_bits) - 1),
+                out=view[group_index],
             )
         return stacked
 
@@ -422,33 +493,39 @@ class MappedMVMLayer:
         partial_observer: Optional[Callable[[np.ndarray], None]],
         noise: Optional[object] = None,
     ) -> Tuple[np.ndarray, int]:
-        """Fused kernel: one matmul per segment, integer-domain conversion.
+        """Fused kernel: digit-packed cycle groups, integer-domain conversion.
 
-        All input cycles are stacked into a single ``(cycles · batch, rows)``
-        operand per segment, so the matmul count drops from ``cycles ×
-        segments`` to ``segments``.  ADCs with an integer level grid (see
-        :mod:`repro.adc.lut`) are applied as a tiled integer gather of output
-        *levels*; the cycle/plane/sign merge then collapses into a single
-        einsum per segment whose factors are exact powers of two, making
-        every partial sum exact integer arithmetic in float64 — bit-identical
-        to the reference loop regardless of summation order.  Exact operation
-        and region totals come from ``np.bincount`` on the same codes.
+        With radix ``R`` = the size of the level table's domain (``max
+        bitline + 1``), ``g`` consecutive DAC slices of each input row are
+        written into one float32 operand row as base-``R`` digits (see
+        :meth:`_stack_cycles`).  Bit-line values are linear in the inputs,
+        so one GEMM per segment yields the joint index ``I = Σ R^i · v_i``
+        of ``g`` cycles directly, and one gather from the joint level table
+        (:func:`repro.adc.lut.joint_level_table`) converts and shift-merges
+        all ``g`` cycles at once.  The code histogram the converter's
+        statistics need is the exact marginal of one ``bincount`` over ``I``
+        (:func:`repro.adc.lut.marginal_counts`).  Groups and segments
+        collapse by int64 shift-and-add; one float64 GEMM with the ±2^p
+        sign/plane merge matrix then yields the outputs, scaled once.
+        Ideal conversion runs the same kernel with the identity level table
+        and charges the analytic baseline op count.  ``g`` is chosen by
+        :func:`cycle_group_size`, and is 1 whenever the observer or
+        per-block noise needs per-cycle blocks.
+
         Converters without a level grid (e.g. the non-uniform baseline) fall
-        back to element-wise conversion on the fused block with the
-        reference engine's merge semantics.
-
-        Integer-domain noise keeps this path: pure per-value maps are folded
-        into the transfer LUT (zero per-element cost), column-dependent
-        integer perturbations are applied per (cycle, segment) block before
-        the gather with the LUT sized to the perturbed bound.  Continuous
-        noise leaves the integer domain and routes through the fallback.
+        back to element-wise conversion with the reference engine's merge
+        semantics.  Integer-domain noise keeps this path: pure per-value
+        maps are folded into the transfer LUT (zero per-element cost),
+        column-dependent integer perturbations are applied per (cycle,
+        segment) block before the gather with the LUT sized to the
+        perturbed bound.  Continuous noise leaves the integer domain and
+        routes through the fallback.
 
         Blocks handed to ``partial_observer`` are transient views into a
         reused buffer — observers must copy what they keep (the distribution
         collector does).
         """
         num_cycles, batch = self.num_input_cycles, input_codes.shape[0]
-        stacked = self._stack_cycles(input_codes)
         integer_noise = noise is None or noise.integer_domain
         lut = None
         value_mapped = False
@@ -470,30 +547,44 @@ class MappedMVMLayer:
                     lut = None
             if lut is None:
                 return self._matmul_fast_fallback(
-                    stacked, num_cycles, batch, adc, partial_observer, noise
+                    self._stack_cycles(input_codes), num_cycles, batch, adc,
+                    partial_observer, noise,
                 )
         elif not integer_noise:
             # Ideal conversion under continuous noise merges floats, where
             # summation order matters; replay the reference order.
             return self._matmul_fast_fallback(
-                stacked, num_cycles, batch, None, partial_observer, noise
+                self._stack_cycles(input_codes), num_cycles, batch, None,
+                partial_observer, noise,
             )
 
         ops_shim = active_ops()
         perturb_blocks = noise is not None and not value_mapped
-        total_ops = 0
         cols = 2 * self.num_weight_planes * self.out_features
-        block_shape = (num_cycles, batch, 2 * self.num_weight_planes, self.out_features)
-        fused_factors = self._fused_factors.reshape(num_cycles, -1)
-        accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
-        partials_buf = self._fast_buffer("partials", (num_cycles * batch, cols), np.float32)
+        if lut is None:
+            bound = self._max_bitline if noise is None else noise.lut_bound
+            levels = compact_levels(np.arange(bound + 1))
+        else:
+            levels = lut.levels
+        radix = levels.size
+        if partial_observer is not None or perturb_blocks:
+            group = 1
+        else:
+            group = cycle_group_size(radix, num_cycles, batch * cols)
+        num_groups = num_cycles // group
+        group_shift = group * self.topology.dac_bits
+        table = joint_level_table(levels, radix, group, self.topology.dac_bits)
+        stacked = self._stack_cycles(input_codes, group, radix)
+        partials_buf = self._fast_buffer("partials", (num_groups * batch, cols), np.float32)
+        levels_buf = self._fast_buffer("levels", (num_groups * batch, cols), table.dtype)
         if perturb_blocks:
             noisy_buf = self._fast_buffer("noisy", (num_cycles * batch, cols), np.float64)
-        if lut is not None:
-            counts = np.zeros(lut.values.size, dtype=np.int64)
-            levels_buf = self._fast_buffer(
-                "levels", (num_cycles * batch, cols), lut.levels.dtype
-            )
+        counts = None if lut is None else np.zeros(table.size, dtype=np.int64)
+        collapsed = self._fast_buffer("collapsed", (batch, cols), np.int64)
+        collapsed.fill(0)
+        # Holds one shifted group during the collapse, then the float64 copy
+        # of the collapsed sums for the merge GEMM.
+        scratch = self._fast_buffer("merge_scratch", (batch, cols), np.int64)
 
         for segment_index, segment in enumerate(self._segments):
             ops_shim.matmul(
@@ -515,33 +606,36 @@ class MappedMVMLayer:
                 conversion_source = noisy_buf
             else:
                 conversion_source = partials_buf
-            if lut is None:
-                total_ops += partials_buf.size * self.topology.ideal_adc_resolution
-                merged_source = conversion_source
-            else:
-                gather_levels(
-                    lut,
-                    conversion_source.reshape(-1),
-                    counts,
-                    levels_buf.reshape(-1),
-                    tile=self._FAST_TILE,
-                )
-                merged_source = levels_buf
-            # Contract the (cycle, sign·plane) axes with the fused power-of-two
-            # factors — exact float64 accumulation, tiled over the batch so the
-            # contraction operands stay cache-resident.
-            blocks = merged_source.reshape(block_shape)
-            row_tile = max(1, self._FAST_TILE // max(1, num_cycles * cols))
-            for start in range(0, batch, row_tile):
-                stop = min(start + row_tile, batch)
-                accumulator[start:stop] += np.tensordot(
-                    blocks[:, start:stop], fused_factors, axes=([0, 2], [0, 1])
-                )
+            gather_levels(
+                table,
+                conversion_source.reshape(-1),
+                counts,
+                levels_buf.reshape(-1),
+                tile=self._FAST_TILE,
+            )
+            # Exact int64 shift-and-add over the cycle groups and segments.
+            for group_index, block in enumerate(levels_buf.reshape(num_groups, batch, cols)):
+                np.left_shift(block, group_index * group_shift, out=scratch, dtype=np.int64)
+                collapsed += scratch
 
-        if lut is not None:
-            total_ops += adc.record_code_counts(counts, lut)
-            if lut.scale != 1.0:
-                accumulator *= lut.scale
+        if lut is None:
+            total_ops = collapsed.size * num_cycles * self.num_segments * (
+                self.topology.ideal_adc_resolution
+            )
+        else:
+            total_ops = adc.record_code_counts(
+                marginal_counts(counts, radix, group), lut
+            )
+        as_float = scratch.view(np.float64)
+        np.copyto(as_float, collapsed)
+        # (columns, out) merge matrix: column (sign, plane, o) feeds output o
+        # with factor ±2^(plane·Rcell).
+        merge_matrix = np.kron(
+            self._merge_factors.reshape(-1, 1), np.eye(self.out_features)
+        )
+        accumulator = ops_shim.matmul(as_float, merge_matrix)
+        if lut is not None and lut.scale != 1.0:
+            accumulator *= lut.scale
         return accumulator, total_ops
 
     def _matmul_fast_fallback(
@@ -701,8 +795,8 @@ class MappedMVMLayer:
           whose per-trial slices equal the solo keyed draws exactly;
         * conversion and merge run per trial — each trial's (differently
           sized) transfer LUT gathers through
-          :func:`repro.adc.lut.gather_levels` and merges with the same
-          order-free exact power-of-two contraction as the solo kernel.
+          :class:`repro.adc.lut.TrialLutGather` and merges with an
+          order-free exact power-of-two contraction.
 
         When every trial receives the same input rows (always true for the
         first MVM layer), the matmul is computed once and broadcast into the
@@ -886,8 +980,8 @@ class MappedMVMLayer:
                     )
                     gather.gather(source, counts, levels)
                     merged = levels
-                # The same order-free exact power-of-two contraction as the
-                # solo kernel, one cache-sized batched block at a time.
+                # Order-free exact power-of-two contraction, one cache-sized
+                # batched block at a time.
                 outputs[:, start:stop] += np.tensordot(
                     merged.reshape(
                         trials,

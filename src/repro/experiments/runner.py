@@ -111,8 +111,8 @@ _DISTRIBUTION_MEMO: Dict[str, Dict[str, np.ndarray]] = {}
 
 
 def clear_runner_memos() -> None:
-    """Drop the per-process workload/clean-reference memos (for benchmarks
-    that need successive timed runs to start cold)."""
+    """Drop the per-process workload, clean-reference and distribution
+    memos (for benchmarks that need successive timed runs to start cold)."""
     _WORKLOAD_MEMO.clear()
     _CLEAN_MEMO.clear()
     _DISTRIBUTION_MEMO.clear()

@@ -70,11 +70,10 @@ MIN_CHUNK_SIZE = 512
 _CHUNK_ELEMENT_BUDGET = 1 << 21
 
 #: Scratch allowance of one batched-trials kernel invocation, relative to the
-#: solo budget.  Trial sub-grouping exists to *bound* memory, not to keep the
-#: working set cache-resident: the batched kernel exists to amortize per-call
-#: overhead across trials, so it accepts a larger transient footprint
-#: (``8 · 2²¹`` elements ≈ 128 MB float64 worst case) before splitting the
-#: trial group across invocations.
+#: solo budget.  At 1 a trial group gets exactly the solo
+#: ``_CHUNK_ELEMENT_BUDGET`` (``2²¹`` elements ≈ 16 MB as float64): the group
+#: is split across invocations once ``trials · rows · cycles · columns``
+#: would exceed it.
 _TRIAL_SCRATCH_FACTOR = 1
 
 

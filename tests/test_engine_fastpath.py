@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
+from repro.adc.lut import joint_level_table, marginal_counts
 from repro.core import TRQParams
 from repro.crossbar import CrossbarTopology, MappedMVMLayer
+from repro.crossbar.mapping import cycle_group_size
+from repro.nonideal import NonIdealityStack, RetentionDrift
 from repro.quantization import QuantizationConfig
 from repro.sim import DistributionCollector, PimSimulator, ReservoirSampler
 from repro.sim.pim_layer import PimBackend
@@ -110,6 +115,133 @@ class TestEngineEquivalence:
             layer.matmul(np.array([[-1, 0, 0, 0]]), engine="fast")
         with pytest.raises(ValueError):
             layer.matmul(np.array([[0, 0, 0, 99]]), engine="fast")
+
+
+CONVERTERS = {
+    "ideal": lambda: None,
+    "uniform": lambda: UniformAdc(bits=4, delta=1.7),
+    "trq": lambda: TwinRangeAdc(TRQParams(n_r1=2, n_r2=4, m=2, delta_r1=0.9, bias=1)),
+}
+
+
+def _assert_engines_agree_under_value_map(layer, inputs, make_adc):
+    """Both engines under a pure value-map noise model (a composed LUT)."""
+    stack = NonIdealityStack([RetentionDrift(time=50.0, nu=0.08)], seed=3)
+    results = {}
+    for engine in ("reference", "fast"):
+        adc = make_adc()
+        state = stack.bind_mapped("layer", layer).next_chunk()
+        merged, ops = layer.matmul(inputs, adc=adc, engine=engine, noise=state)
+        results[engine] = (merged, ops, getattr(adc, "stats", None))
+    (ref, ref_ops, ref_stats), (fast, fast_ops, fast_stats) = results.values()
+    np.testing.assert_array_equal(ref, fast)
+    assert ref_ops == fast_ops
+    assert ref_stats == fast_stats
+
+
+def _columns(layer):
+    return 2 * layer.num_weight_planes * layer.out_features
+
+
+@st.composite
+def packed_kernel_cases(draw):
+    """A random layer and a batch sized so the group rule aims at ``g``."""
+    topology = CrossbarTopology(
+        128, draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    )
+    quant = QuantizationConfig(
+        weight_bits=draw(st.integers(2, 8)),
+        activation_bits=draw(st.one_of(st.just(8), st.integers(1, 8))),
+    )
+    in_features = draw(st.integers(1, 300))
+    out_features = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    limit = draw(st.integers(1, (1 << (quant.weight_bits - 1)) - 1))
+    # Sparse weights give the small bit-line bounds that large groups need.
+    density = draw(st.sampled_from([1.0, 0.1, 0.01, 0.002]))
+    weights = rng.integers(-limit, limit + 1, size=(in_features, out_features))
+    weights *= rng.random(weights.shape) < density
+    layer = MappedMVMLayer(weights, quant, topology)
+    radix = layer.max_bitline_value + 1
+    target = draw(st.sampled_from([1, 2, 4, 8]))
+    batch = int(np.clip(-(-(radix**target) // _columns(layer)), 1, 4096))
+    inputs = rng.integers(0, 1 << quant.activation_bits, size=(batch, in_features))
+    return layer, inputs, draw(st.sampled_from(sorted(CONVERTERS)))
+
+
+class TestDigitPackedKernel:
+    """The digit-packed cycle groups of the fast engine, at every group size."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=packed_kernel_cases())
+    def test_fast_equals_reference_for_random_layers(self, case):
+        layer, inputs, converter = case
+        group = cycle_group_size(
+            layer.max_bitline_value + 1,
+            layer.num_input_cycles,
+            inputs.shape[0] * _columns(layer),
+        )
+        event(f"group={group}")
+        ref_adc, fast_adc = CONVERTERS[converter](), CONVERTERS[converter]()
+        ref, ref_ops = layer.matmul(inputs, adc=ref_adc, engine="reference")
+        fast, fast_ops = layer.matmul(inputs, adc=fast_adc, engine="fast")
+        assert np.array_equal(ref, fast)
+        assert ref_ops == fast_ops
+        if ref_adc is not None:
+            assert ref_adc.stats == fast_adc.stats
+            assert (ref_adc.stats.in_r1, ref_adc.stats.in_r2) == (
+                fast_adc.stats.in_r1, fast_adc.stats.in_r2
+            )
+        if converter != "ideal":
+            _assert_engines_agree_under_value_map(layer, inputs, CONVERTERS[converter])
+
+    @pytest.mark.parametrize("group,batch", [(1, 1), (2, 2), (4, 11), (8, 821)])
+    def test_every_group_size_is_bit_identical(self, group, batch):
+        # Two all-ones rows: radix 3 over 8 cycles and 8 columns.
+        layer = MappedMVMLayer(
+            np.ones((2, 4), dtype=np.int64), QuantizationConfig(weight_bits=2)
+        )
+        assert (layer.max_bitline_value + 1, layer.num_input_cycles, _columns(layer)) == (3, 8, 8)
+        assert cycle_group_size(3, 8, batch * 8) == group
+        inputs = np.random.default_rng(group).integers(0, 256, size=(batch, 2))
+        for make_adc in CONVERTERS.values():
+            _assert_engines_agree(layer, inputs, make_adc)
+        _assert_engines_agree_under_value_map(layer, inputs, CONVERTERS["trq"])
+
+    def test_group_size_rule(self):
+        shapes = [(14, 8, 262136), (24, 8, 89600), (15, 8, 4704)]
+        assert {shape: cycle_group_size(*shape) for shape in shapes} == {
+            (14, 8, 262136): 4,
+            (24, 8, 89600): 2,
+            (15, 8, 4704): 2,
+        }
+        assert cycle_group_size(1, 8, 1 << 20) == 1
+
+    def test_joint_level_table_of_three_levels(self):
+        table = joint_level_table(np.array([0, 1, 3]), radix=3, group=2, shift_bits=1)
+        assert table.tolist() == [0, 1, 3, 2, 3, 5, 6, 7, 9]
+        assert joint_level_table(np.array([0, 1, 3]), 3, 1, 1).tolist() == [0, 1, 3]
+        with pytest.raises(ValueError):
+            joint_level_table(np.array([0, 1, 3]), radix=4, group=2, shift_bits=1)
+
+    def test_marginal_counts_equal_per_cycle_bincounts(self, rng):
+        digits = rng.integers(0, 5, size=(3, 1000))
+        joint = digits[0] + 5 * digits[1] + 25 * digits[2]
+        hist = np.bincount(joint, minlength=125)
+        expected = sum(np.bincount(d, minlength=5) for d in digits)
+        assert marginal_counts(hist, radix=5, group=3).tolist() == expected.tolist()
+        assert marginal_counts(expected, radix=5, group=1).tolist() == expected.tolist()
+
+    def test_out_of_range_codes_rejected_before_packing(self):
+        for bad in (-1, 256):
+            layer = MappedMVMLayer(
+                np.ones((2, 4), dtype=np.int64), QuantizationConfig(weight_bits=2)
+            )
+            inputs = np.zeros((821, 2), dtype=np.int64)
+            inputs[5, 1] = bad
+            with pytest.raises(ValueError):
+                layer.matmul(inputs, engine="fast")
+            assert getattr(layer, "_fast_buffers", None) is None
 
 
 class TestSimulatorEngineEquivalence:
