@@ -37,15 +37,25 @@ Simulation engines
   yields the exact op and region totals is the marginal of one
   ``np.bincount`` over ``I``.  The groups and segments collapse by int64
   shift-and-add, and one float64 GEMM with a ``(columns × out)`` ±2^p
-  sign/plane merge matrix produces the outputs.  Ideal conversion runs the
-  same kernel with the identity level table and charges the analytic
-  baseline op count.
+  sign/plane merge matrix produces the outputs.
 
   ``g`` is the largest divisor of ``num_input_cycles`` with ``R^g ≤
   min(2^16, rows · columns)`` (:func:`cycle_group_size`): it follows from
   the layer and chunk geometry, and the joint table is never larger than
   one group's gather.  ``g`` is 1 — one block per input cycle — whenever a
   ``partial_observer`` or per-block noise needs the per-cycle blocks.
+
+  Noise-free ideal conversion needs none of this: lossless conversion makes
+  the bit-sliced datapath the identity on integers, so the outputs are one
+  float64 GEMM of the input codes with the exact signed integer weights
+  ``Σ ±2^(p·Rcell) · plane``.  The GEMM is exact in any summation order
+  because every product and partial sum is an integer below ``2^53``, and
+  adding ``+0.0`` normalises the ``-0.0`` a zero input row can give against
+  a negative column, so the bytes match the reference loop.  The op count
+  is the analytic baseline.  A ``partial_observer`` still receives the
+  per-cycle blocks of a stacked GEMM, which are not converted or merged.
+  Ideal conversion under integer-domain noise runs the packed kernel with
+  the identity level table.
 
 Bit-reproducibility rests on the **integer-domain invariant**: every quantity
 the datapath merges is an exact integer.  ADCs with a uniform level grid
@@ -58,8 +68,8 @@ exact:
   them is exact (all its partial sums are non-negative integers below the
   final index);
 * the group/segment collapse runs in int64;
-* the merged sums stay below ``2^53``, so the float64 merge GEMM is exact in
-  any summation order.
+* the merged sums stay below ``2^53``, so the float64 merge GEMM (and the
+  ideal-conversion GEMM) is exact in any summation order.
 
 Both engines therefore compute the same exact integers, scale them once per
 output, and produce bit-identical results with identical operation counts
@@ -233,6 +243,11 @@ class MappedMVMLayer:
             dtype=np.float64,
         )
         self._merge_factors = np.stack([plane_shifts, -plane_shifts], axis=0)  # (2, planes)
+        # The exact signed integer weights the planes encode, Σ ±2^(p·Rcell)
+        # · plane: noise-free ideal conversion is one GEMM with this matrix.
+        self._weight_matrix = np.einsum(
+            "sp,spio->io", self._merge_factors, planes.astype(np.float64)
+        )
         # Fused (cycle, sign, plane) factors of the batched Monte Carlo kernel
         # (:meth:`_matmul_fast_trials`): every entry is an exact (signed) power
         # of two, so multiplying integer levels by it and summing in float64 is
@@ -387,6 +402,20 @@ class MappedMVMLayer:
             return self._matmul_fast(input_codes, adc, partial_observer, noise)
         raise ValueError(f"unknown engine {engine!r} (expected 'fast' or 'reference')")
 
+    def _checked_codes(self, input_codes: np.ndarray) -> np.ndarray:
+        """``input_codes`` as int64, with the range validation of
+        :func:`repro.crossbar.slicing.slice_inputs_temporal`."""
+        activation_bits = self.quant_config.activation_bits
+        codes = input_codes.astype(np.int64, copy=False)
+        if codes.size:
+            if codes.min() < 0:
+                raise ValueError("bit_slice expects non-negative integers")
+            if codes.max() >= (1 << activation_bits):
+                raise ValueError(
+                    f"values exceed {activation_bits} bits (max={codes.max()})"
+                )
+        return codes
+
     def _stack_cycles(
         self, input_codes: np.ndarray, group: int = 1, radix: int = 1
     ) -> np.ndarray:
@@ -400,17 +429,9 @@ class MappedMVMLayer:
         group − 1`` as ``Σ_i radix^i · slice_(j·group+i)``; ``group=1`` is
         plain cycle stacking.
         """
-        activation_bits = self.quant_config.activation_bits
         dac_bits = self.topology.dac_bits
         batch = input_codes.shape[0]
-        codes = input_codes.astype(np.int64, copy=False)
-        if codes.size:
-            if codes.min() < 0:
-                raise ValueError("bit_slice expects non-negative integers")
-            if codes.max() >= (1 << activation_bits):
-                raise ValueError(
-                    f"values exceed {activation_bits} bits (max={codes.max()})"
-                )
+        codes = self._checked_codes(input_codes)
         num_groups = self.num_input_cycles // group
         stacked = self._fast_buffer(
             "stacked", (num_groups * batch, self.in_features), np.float32
@@ -507,10 +528,14 @@ class MappedMVMLayer:
         (:func:`repro.adc.lut.marginal_counts`).  Groups and segments
         collapse by int64 shift-and-add; one float64 GEMM with the ±2^p
         sign/plane merge matrix then yields the outputs, scaled once.
-        Ideal conversion runs the same kernel with the identity level table
-        and charges the analytic baseline op count.  ``g`` is chosen by
-        :func:`cycle_group_size`, and is 1 whenever the observer or
-        per-block noise needs per-cycle blocks.
+        ``g`` is chosen by :func:`cycle_group_size`, and is 1 whenever the
+        observer or per-block noise needs per-cycle blocks.
+
+        Noise-free ideal conversion skips all of this: it is one float64
+        GEMM of the input codes with the exact signed integer weights (see
+        :meth:`_matmul_ideal`).  Ideal conversion under integer-domain noise
+        runs the packed kernel with the identity level table of the
+        perturbed bound.  Both charge the analytic baseline op count.
 
         Converters without a level grid (e.g. the non-uniform baseline) fall
         back to element-wise conversion with the reference engine's merge
@@ -525,6 +550,8 @@ class MappedMVMLayer:
         reused buffer — observers must copy what they keep (the distribution
         collector does).
         """
+        if adc is None and noise is None:
+            return self._matmul_ideal(input_codes, partial_observer)
         num_cycles, batch = self.num_input_cycles, input_codes.shape[0]
         integer_noise = noise is None or noise.integer_domain
         lut = None
@@ -561,9 +588,8 @@ class MappedMVMLayer:
         ops_shim = active_ops()
         perturb_blocks = noise is not None and not value_mapped
         cols = 2 * self.num_weight_planes * self.out_features
-        if lut is None:
-            bound = self._max_bitline if noise is None else noise.lut_bound
-            levels = compact_levels(np.arange(bound + 1))
+        if lut is None:  # ideal conversion of integer-domain noisy values
+            levels = compact_levels(np.arange(noise.lut_bound + 1))
         else:
             levels = lut.levels
         radix = levels.size
@@ -637,6 +663,49 @@ class MappedMVMLayer:
         if lut is not None and lut.scale != 1.0:
             accumulator *= lut.scale
         return accumulator, total_ops
+
+    def _matmul_ideal(
+        self,
+        input_codes: np.ndarray,
+        partial_observer: Optional[Callable[[np.ndarray], None]],
+    ) -> Tuple[np.ndarray, int]:
+        """Noise-free ideal conversion: one exact float64 GEMM.
+
+        Lossless conversion makes the bit-sliced datapath the identity on
+        integers: the DAC slices recombine to the input codes and the
+        sign/plane shift-and-add recombines to the signed weights.  So the
+        outputs are ``codes @ W`` with ``W = Σ ±2^(p·Rcell) · plane`` (built
+        once in ``__init__``).  Every product and partial sum is an integer
+        of magnitude below ``2^53``, so the GEMM is exact in any summation
+        order; ``+ 0.0`` turns the ``-0.0`` an all-zero input row can give
+        against a negative column into the ``+0.0`` of the reference loop.
+        The op count is analytic.  With a ``partial_observer``, the
+        per-cycle stacked GEMM still produces its blocks, segment-major, but
+        is not converted or merged.
+        """
+        num_cycles, batch = self.num_input_cycles, input_codes.shape[0]
+        cols = 2 * self.num_weight_planes * self.out_features
+        ops_shim = active_ops()
+        if partial_observer is None:
+            codes = self._checked_codes(input_codes)
+        else:
+            stacked = self._stack_cycles(input_codes)  # range-checks the codes
+            partials_buf = self._fast_buffer(
+                "partials", (num_cycles * batch, cols), np.float32
+            )
+            for segment in self._segments:
+                ops_shim.matmul(
+                    stacked[:, segment], self._plane_matrix[segment], out=partials_buf
+                )
+                for block in partials_buf.reshape(num_cycles, batch, cols):
+                    partial_observer(block)
+            codes = input_codes.astype(np.int64, copy=False)
+        outputs = ops_shim.matmul(codes.astype(np.float64), self._weight_matrix)
+        outputs += 0.0
+        total_ops = batch * cols * num_cycles * self.num_segments * (
+            self.topology.ideal_adc_resolution
+        )
+        return outputs, total_ops
 
     def _matmul_fast_fallback(
         self,

@@ -19,7 +19,15 @@ from repro.utils.validation import check_in_range, check_integer
 
 
 class ReservoirSampler:
-    """Bounded uniform subsample of a stream of arrays."""
+    """Bounded uniform subsample of a stream of arrays.
+
+    The sequence of RNG calls — one ``random(block.size)`` per block that
+    overflows the free space, then a ``choice`` to clamp an oversized
+    acceptance and a ``choice`` to evict — is part of the artifact
+    contract: the retained values feed the calibration search, so any
+    change to which draws are made, with which arguments or in which order,
+    changes stored results.
+    """
 
     def __init__(self, capacity: int = 100_000, seed: SeedLike = None) -> None:
         check_in_range(check_integer(capacity, "capacity"), "capacity", low=1)
@@ -30,39 +38,49 @@ class ReservoirSampler:
         self.total_seen = 0
 
     def add(self, values: np.ndarray) -> None:
-        """Offer a block of values to the reservoir."""
-        values = np.asarray(values, dtype=np.float64).ravel()
+        """Offer a block of values to the reservoir.
+
+        The block is sampled in its own dtype; only the values kept are
+        widened to float64 (exact for every integer or float32 input).
+        """
+        values = np.asarray(values).ravel()
         if values.size == 0:
             return
         self.total_seen += values.size
         remaining = self.capacity - self._stored
         if remaining >= values.size:
-            self._chunks.append(values.copy())
+            self._chunks.append(values.astype(np.float64))
             self._stored += values.size
             return
         # Keep the acceptance rate proportional to capacity / total_seen so
         # early and late blocks end up equally represented.
         rate = self.capacity / self.total_seen
-        mask = self._rng.random(values.size) < rate
-        accepted = values[mask]
+        accepted = values[self._rng.random(values.size) < rate].astype(
+            np.float64, copy=False
+        )
         if accepted.size == 0:
             return
         if accepted.size > self.capacity:
             # A block much larger than everything seen so far can be accepted
             # almost wholesale; clamp it to the capacity bound by a uniform
             # subsample before it displaces the current reservoir.
-            keep = self._rng.choice(accepted.size, size=self.capacity, replace=False)
-            accepted = accepted[np.sort(keep)]
+            accepted = accepted[self._keep_mask(accepted.size, self.capacity)]
         if self._stored + accepted.size > self.capacity:
             # Evict uniformly to make room.
             current = self.values
-            keep = self._rng.choice(
-                current.size, size=self.capacity - accepted.size, replace=False
-            )
-            self._chunks = [current[np.sort(keep)]]
+            self._chunks = [
+                current[self._keep_mask(current.size, self.capacity - accepted.size)]
+            ]
             self._stored = self._chunks[0].size
         self._chunks.append(accepted)
         self._stored += accepted.size
+
+    def _keep_mask(self, size: int, keep: int) -> np.ndarray:
+        """Mask of ``keep`` uniformly chosen positions out of ``size``; the
+        kept values stay in stream order."""
+        mask = np.zeros(size, dtype=bool)
+        mask[self._rng.choice(size, size=keep, replace=False)] = True
+        return mask
 
     @property
     def values(self) -> np.ndarray:

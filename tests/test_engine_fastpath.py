@@ -10,6 +10,8 @@ tests pin that contract at the mapped-layer level and end-to-end through
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -244,6 +246,105 @@ class TestDigitPackedKernel:
             assert getattr(layer, "_fast_buffers", None) is None
 
 
+@st.composite
+def ideal_cases(draw):
+    """A random multi-segment layer with one strictly negative weight
+    column, and a batch with one all-zero input row."""
+    topology = CrossbarTopology(
+        draw(st.sampled_from([16, 64, 128])),
+        draw(st.sampled_from([1, 2])),
+        draw(st.sampled_from([1, 2])),
+    )
+    quant = QuantizationConfig(
+        weight_bits=draw(st.integers(2, 8)),
+        activation_bits=draw(st.integers(1, 8)),
+    )
+    in_features = draw(st.integers(1, 300))
+    out_features = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    limit = (1 << (quant.weight_bits - 1)) - 1
+    weights = rng.integers(-limit, limit + 1, size=(in_features, out_features))
+    weights[:, draw(st.integers(0, out_features - 1))] = -rng.integers(
+        1, limit + 1, size=in_features
+    )
+    batch = draw(st.integers(1, 40))
+    inputs = rng.integers(0, 1 << quant.activation_bits, size=(batch, in_features))
+    inputs[draw(st.integers(0, batch - 1))] = 0
+    return MappedMVMLayer(weights, quant, topology), inputs
+
+
+class TestIdealGemm:
+    """Noise-free ideal conversion is one exact float64 GEMM."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ideal_cases())
+    def test_fast_equals_reference_bytes(self, case):
+        layer, inputs = case
+        ref, ref_ops = layer.matmul(inputs, engine="reference")
+        fast, fast_ops = layer.matmul(inputs, engine="fast")
+        # tobytes tells -0.0 from 0.0, which array_equal does not.
+        assert fast.tobytes() == ref.tobytes()
+        assert (fast.dtype, fast.shape) == (ref.dtype, ref.shape)
+        assert fast_ops == ref_ops
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=ideal_cases())
+    def test_observer_blocks_are_reference_blocks_segment_major(self, case):
+        layer, inputs = case
+        seen = {"reference": [], "fast": []}
+        results = {}
+        for engine, blocks in seen.items():
+            results[engine] = layer.matmul(
+                inputs,
+                partial_observer=lambda block, blocks=blocks: blocks.append(block.copy()),
+                engine=engine,
+            )
+        assert results["fast"][0].tobytes() == results["reference"][0].tobytes()
+        assert results["fast"][1] == results["reference"][1]
+        cycles, segments = layer.num_input_cycles, layer.num_segments
+        reordered = [
+            seen["reference"][cycle * segments + segment]
+            for segment in range(segments)
+            for cycle in range(cycles)
+        ]
+        assert len(seen["fast"]) == len(reordered) == cycles * segments
+        for fast_block, ref_block in zip(seen["fast"], reordered):
+            assert fast_block.shape == ref_block.shape
+            assert fast_block.tobytes() == ref_block.tobytes()
+
+    def test_signed_zeros_normalised_for_any_summation_order(self, monkeypatch):
+        """A GEMM that seeds each sum with its first product gives -0.0 for
+        a zero input row against a negative column; the ideal path must
+        still return the reference's +0.0."""
+
+        class FirstProductOps:
+            @staticmethod
+            def matmul(a, b, out=None):
+                result = a[:, :1] * b[:1]
+                for k in range(1, a.shape[1]):
+                    result += a[:, k : k + 1] * b[k : k + 1]
+                return result
+
+        layer = MappedMVMLayer(-np.ones((3, 2), dtype=np.int64))
+        inputs = np.array([[0, 0, 0], [1, 2, 3]])
+        monkeypatch.setattr("repro.crossbar.mapping.active_ops", FirstProductOps)
+        fast, _ = layer.matmul(inputs, engine="fast")
+        ref, _ = layer.matmul(inputs, engine="reference")
+        assert fast.tobytes() == ref.tobytes()
+        assert fast.tolist() == [[0.0, 0.0], [-6.0, -6.0]]
+        assert not np.signbit(fast[0]).any()
+
+    def test_out_of_range_codes_rejected(self):
+        layer = MappedMVMLayer(
+            np.ones((2, 4), dtype=np.int64), QuantizationConfig(weight_bits=2)
+        )
+        for bad in (-1, 256):
+            inputs = np.zeros((3, 2), dtype=np.int64)
+            inputs[1, 0] = bad
+            with pytest.raises(ValueError):
+                layer.matmul(inputs, engine="fast")
+
+
 class TestSimulatorEngineEquivalence:
     def test_end_to_end_bit_identical(self, lenet_workload, lenet_eval_data):
         images, labels = lenet_eval_data
@@ -344,6 +445,42 @@ class TestReservoirCapacityRegression:
         assert 50 <= len(sampler) <= 100
         # A uniform subsample of [0, 100000) should span the range broadly.
         assert sampler.values.max() > 50_000
+
+
+def _golden_stream():
+    """Float32 blocks that drive a capacity-64, seed-3 sampler through a
+    fill, an empty block, a partial fill, evictions, a clamped block larger
+    than capacity and blocks accepting nothing, in that order."""
+    data = np.random.default_rng(20240601)
+    for size in (10, 0, 100, 30, 5000, 1, 700, 3):
+        yield data.normal(60.0, 15.0, size=size).astype(np.float32)
+
+
+class TestReservoirGolden:
+    """The reservoir's RNG-call sequence is part of the artifact contract:
+    captured samples, and so every stored calibration, depend on it."""
+
+    def test_pinned_stream(self):
+        sampler = ReservoirSampler(capacity=64, seed=3)
+        for block in _golden_stream():
+            sampler.add(block)
+        values = sampler.values
+        assert values.dtype == np.float64
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "dbd6d68398b548a078ec6f28dd6bd112a6c928af4d4ea39e2a1765a0979bf920"
+        )
+        assert (sampler.total_seen, len(sampler)) == (5844, 64)
+        assert sampler._rng.bit_generator.state == {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": 182126622271328600403282905736161391829,
+                "inc": 222003063171874261427395693950637096479,
+            },
+            "has_uint32": 1,
+            "uinteger": 620565297,
+        }
+        with pytest.raises(ValueError):
+            ReservoirSampler(capacity=0)
 
 
 class TestCollectorSeedIndependence:
