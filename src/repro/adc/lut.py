@@ -182,146 +182,20 @@ def gather_levels(
     totals are derived.  This is the conversion core of the fused crossbar
     kernel.  Raises ``ValueError`` when a histogrammed value exceeds the
     table bound.
-
-    The array primitives route through the active :mod:`repro.backend`
-    array-ops shim; under the default numpy backend they are the exact
-    ``np.bincount``/``np.take`` calls.
     """
-    from repro.backend import active_ops  # lazy: keep adc import-light
-
-    ops = active_ops()
     size = flat_values.size
     for start in range(0, size, tile):
         stop = min(start + tile, size)
         codes = flat_values[start:stop].astype(np.int64)
         if counts is not None:
-            tile_counts = ops.bincount(codes, minlength=counts.size)
+            tile_counts = np.bincount(codes, minlength=counts.size)
             if tile_counts.size > counts.size:
                 raise ValueError(
                     f"bit-line value {int(codes.max())} exceeds the LUT bound "
                     f"{counts.size - 1}"
                 )
             counts += tile_counts
-        ops.take(table, codes, out=out_levels[start:stop])
-
-
-class TrialLutGather:
-    """One gather/histogram pass over several trials' (different) LUTs.
-
-    The batched Monte Carlo kernel carries ``trials`` sibling LUTs whose
-    sizes differ (each trial's perturbed bit-line bound is seed-dependent).
-    Rather than gathering per trial, the level tables are concatenated into
-    one combined table and every trial's integer codes are shifted by its
-    table offset — so a *single* ``take`` and a *single* ``bincount`` cover
-    the whole trial batch, and slicing the combined histogram at the offsets
-    recovers each trial's exact per-value counts.  Results are bit-identical
-    to per-trial :func:`gather_levels` calls by construction: offsetting
-    indexes the very same table entries, and histogram slices partition the
-    same codes.
-    """
-
-    def __init__(self, luts) -> None:
-        self.luts = list(luts)
-        sizes = [lut.levels.size for lut in self.luts]
-        self.sizes = sizes
-        self.offsets = np.concatenate(
-            [[0], np.cumsum(sizes[:-1], dtype=np.int64)]
-        ).astype(np.int64)
-        self.total_size = int(sum(sizes))
-        common = np.result_type(*[lut.levels.dtype for lut in self.luts])
-        self.levels = np.concatenate(
-            [np.asarray(lut.levels, dtype=common) for lut in self.luts]
-        )
-        self._max_values = np.array(
-            [lut.max_value for lut in self.luts], dtype=np.int64
-        )
-        # Combined per-value cost/region tables for the vectorised trials
-        # statistics pass (:meth:`record_trials`): segment sums over the
-        # combined histogram replace one Python-level ``record_code_counts``
-        # call per trial.  Integer arithmetic throughout, so the totals are
-        # exactly the per-trial ones.
-        self._ops_per_value = np.concatenate(
-            [lut.ops_per_value for lut in self.luts]
-        ).astype(np.int64)
-        if all(lut.in_r1 is not None for lut in self.luts):
-            self._in_r1 = np.concatenate(
-                [lut.in_r1 for lut in self.luts]
-            ).astype(np.int64)
-        else:
-            self._in_r1 = None
-
-    def record_trials(self, counts, adcs) -> list:
-        """Record every trial's conversion statistics from the histogram.
-
-        Equivalent to calling ``adcs[t].record_code_counts`` with each
-        trial's histogram slice, but the per-trial reductions run as three
-        ``np.add.reduceat`` segment sums over the combined histogram — all
-        integer, hence bit-exact — leaving only the constant-time counter
-        updates in Python.  Returns the per-trial A/D-operation totals.
-        """
-        if self._in_r1 is None:
-            return [
-                adc.record_code_counts(self.trial_counts(counts, t), lut)
-                for t, (adc, lut) in enumerate(zip(adcs, self.luts))
-            ]
-        conversions = np.add.reduceat(counts, self.offsets)
-        total_ops = np.add.reduceat(counts * self._ops_per_value, self.offsets)
-        num_r1 = np.add.reduceat(counts * self._in_r1, self.offsets)
-        for t, (adc, lut) in enumerate(zip(adcs, self.luts)):
-            adc.stats.record(
-                conversions=int(conversions[t]),
-                operations=int(total_ops[t]),
-                detection_operations=int(conversions[t]) * lut.detection_ops,
-                in_r1=int(num_r1[t]),
-                in_r2=int(conversions[t] - num_r1[t]),
-            )
-        return [int(ops) for ops in total_ops]
-
-    def new_counts(self) -> np.ndarray:
-        """A zeroed combined histogram to accumulate across gathers."""
-        return np.zeros(self.total_size, dtype=np.int64)
-
-    def trial_counts(self, counts: np.ndarray, trial: int) -> np.ndarray:
-        """Trial ``trial``'s slice of a combined histogram."""
-        start = int(self.offsets[trial])
-        return counts[start : start + self.sizes[trial]]
-
-    def gather(
-        self,
-        values: np.ndarray,
-        counts: np.ndarray,
-        out_levels: np.ndarray,
-        tile: int = GATHER_TILE,
-    ) -> None:
-        """Gather all trials' levels and accumulate the combined histogram.
-
-        ``values`` holds exact integer bit-line values with the trial axis
-        leading (``(trials, …)``); ``out_levels`` has the same shape (dtype
-        of the combined table) and ``counts`` is ``(total_size,)``.
-        """
-        from repro.backend import active_ops  # lazy: keep adc import-light
-
-        ops = active_ops()
-        trials = values.shape[0]
-        flat_per_trial = values.reshape(trials, -1)
-        if flat_per_trial.shape[1]:
-            maxes = flat_per_trial.max(axis=1).astype(np.int64)
-            bad = np.nonzero(maxes > self._max_values)[0]
-            if bad.size:
-                trial = int(bad[0])
-                raise ValueError(
-                    f"bit-line value {int(maxes[trial])} exceeds the LUT "
-                    f"bound {self.luts[trial].max_value}"
-                )
-        codes = flat_per_trial.astype(np.int64)
-        codes += self.offsets[:, None]
-        flat_codes = codes.reshape(-1)
-        flat_levels = out_levels.reshape(-1)
-        for start in range(0, flat_codes.size, tile):
-            stop = min(start + tile, flat_codes.size)
-            tile_codes = flat_codes[start:stop]
-            counts += ops.bincount(tile_codes, minlength=self.total_size)
-            ops.take(self.levels, tile_codes, out=flat_levels[start:stop])
+        np.take(table, codes, out=out_levels[start:stop])
 
 
 class LutConversionMixin:

@@ -106,14 +106,12 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.adc.lut import (
-    TrialLutGather,
     compact_levels,
     compose_transfer_lut,
     gather_levels,
     joint_level_table,
     marginal_counts,
 )
-from repro.backend import active_ops
 from repro.crossbar.slicing import (
     num_slices,
     slice_inputs_temporal,
@@ -248,16 +246,6 @@ class MappedMVMLayer:
         self._weight_matrix = np.einsum(
             "sp,spio->io", self._merge_factors, planes.astype(np.float64)
         )
-        # Fused (cycle, sign, plane) factors of the batched Monte Carlo kernel
-        # (:meth:`_matmul_fast_trials`): every entry is an exact (signed) power
-        # of two, so multiplying integer levels by it and summing in float64 is
-        # exact arithmetic.
-        cycle_shifts = np.array(
-            [1 << (c * topology.dac_bits) for c in range(self.num_input_cycles)],
-            dtype=np.float64,
-        )
-        self._fused_factors = cycle_shifts[:, None, None] * self._merge_factors[None, :, :]
-
         size = topology.crossbar_size
         self._segments: List[slice] = [
             slice(start, min(start + size, self.in_features))
@@ -585,7 +573,6 @@ class MappedMVMLayer:
                 partial_observer, noise,
             )
 
-        ops_shim = active_ops()
         perturb_blocks = noise is not None and not value_mapped
         cols = 2 * self.num_weight_planes * self.out_features
         if lut is None:  # ideal conversion of integer-domain noisy values
@@ -613,7 +600,7 @@ class MappedMVMLayer:
         scratch = self._fast_buffer("merge_scratch", (batch, cols), np.int64)
 
         for segment_index, segment in enumerate(self._segments):
-            ops_shim.matmul(
+            np.matmul(
                 stacked[:, segment], self._plane_matrix[segment], out=partials_buf
             )
             if partial_observer is not None:
@@ -659,7 +646,7 @@ class MappedMVMLayer:
         merge_matrix = np.kron(
             self._merge_factors.reshape(-1, 1), np.eye(self.out_features)
         )
-        accumulator = ops_shim.matmul(as_float, merge_matrix)
+        accumulator = np.matmul(as_float, merge_matrix)
         if lut is not None and lut.scale != 1.0:
             accumulator *= lut.scale
         return accumulator, total_ops
@@ -685,7 +672,6 @@ class MappedMVMLayer:
         """
         num_cycles, batch = self.num_input_cycles, input_codes.shape[0]
         cols = 2 * self.num_weight_planes * self.out_features
-        ops_shim = active_ops()
         if partial_observer is None:
             codes = self._checked_codes(input_codes)
         else:
@@ -694,13 +680,13 @@ class MappedMVMLayer:
                 "partials", (num_cycles * batch, cols), np.float32
             )
             for segment in self._segments:
-                ops_shim.matmul(
+                np.matmul(
                     stacked[:, segment], self._plane_matrix[segment], out=partials_buf
                 )
                 for block in partials_buf.reshape(num_cycles, batch, cols):
                     partial_observer(block)
             codes = input_codes.astype(np.int64, copy=False)
-        outputs = ops_shim.matmul(codes.astype(np.float64), self._weight_matrix)
+        outputs = np.matmul(codes.astype(np.float64), self._weight_matrix)
         outputs += 0.0
         total_ops = batch * cols * num_cycles * self.num_segments * (
             self.topology.ideal_adc_resolution
@@ -737,11 +723,10 @@ class MappedMVMLayer:
         # Integer levels merge exactly in any order; float merges replay the
         # reference (cycle-major) accumulation order.
         preserve_order = convert_levels is None
-        ops_shim = active_ops()
         accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
         contributions: List[List[np.ndarray]] = [[] for _ in range(num_cycles)]
         for segment_index, segment in enumerate(self._segments):
-            partials = ops_shim.matmul(stacked[:, segment], self._plane_matrix[segment])
+            partials = np.matmul(stacked[:, segment], self._plane_matrix[segment])
             blocks = partials.reshape(num_cycles, batch, -1)
             if partial_observer is not None:
                 for cycle_index in range(num_cycles):
@@ -771,398 +756,6 @@ class MappedMVMLayer:
         if scale != 1.0:
             accumulator *= scale
         return accumulator, total_ops
-
-    # ------------------------------------------------------------------ #
-    # batched Monte Carlo datapath
-    # ------------------------------------------------------------------ #
-    def matmul_trials(
-        self,
-        input_codes: np.ndarray,
-        adcs: Optional[List[object]],
-        noise,
-        engine: str = "fast",
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Execute one MVM batch for several Monte Carlo trials at once.
-
-        Parameters
-        ----------
-        input_codes:
-            ``(trials, batch, in_features)`` unsigned activation codes —
-            ``input_codes[t]`` is what a solo run of trial ``t`` would pass
-            to :meth:`matmul` for this chunk.
-        adcs:
-            Per-trial ADC instances (or ``None`` for ideal conversion); each
-            trial needs its own because the perturbed LUT bound — and the
-            recorded statistics — are trial-specific.
-        noise:
-            :class:`repro.nonideal.stack.TrialNoiseStates` bound to this
-            layer, chunk counters already advanced in lockstep.
-        engine:
-            ``"fast"`` runs the fused batched kernel; ``"reference"`` loops
-            the solo oracle per trial (transparent, for verification).
-
-        Returns
-        -------
-        results:
-            ``(trials, batch, out_features)`` float64 — ``results[t]`` is
-            **bit-identical** to the solo ``matmul`` of trial ``t``.
-        total_ops:
-            Per-trial A/D operation counts (identical to the solo runs).
-        """
-        input_codes = np.asarray(input_codes)
-        if input_codes.ndim != 3 or input_codes.shape[2] != self.in_features:
-            raise ValueError(
-                f"input_codes must be (trials, batch, {self.in_features}), "
-                f"got {input_codes.shape}"
-            )
-        trials = input_codes.shape[0]
-        if noise is None or noise.trials != trials:
-            raise ValueError(
-                "matmul_trials needs a TrialNoiseStates with one state per trial"
-            )
-        if adcs is not None and len(adcs) != trials:
-            raise ValueError(
-                f"expected {trials} per-trial ADCs, got {len(adcs)}"
-            )
-        if engine == "reference":
-            outputs = np.empty(
-                (trials, input_codes.shape[1], self.out_features), dtype=np.float64
-            )
-            total_ops: List[int] = []
-            for t in range(trials):
-                outputs[t], ops = self.matmul(
-                    input_codes[t],
-                    adc=None if adcs is None else adcs[t],
-                    engine="reference",
-                    noise=noise.states[t],
-                )
-                total_ops.append(int(ops))
-            return outputs, total_ops
-        if engine != "fast":
-            raise ValueError(
-                f"unknown engine {engine!r} (expected 'fast' or 'reference')"
-            )
-        return self._matmul_fast_trials(input_codes, adcs, noise)
-
-    def _matmul_fast_trials(
-        self,
-        input_codes: np.ndarray,
-        adcs: Optional[List[object]],
-        noise,
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Fused kernel over a leading ``trials`` batch dimension.
-
-        The trial axis rides through the same integer-exact datapath as the
-        solo fast engine, which is why the batch is bit-identical per trial:
-
-        * the stacked-cycle matmul computes exact small integers, so its
-          results do not depend on operand blocking (a ``(trials · batch)``
-          row block equals the per-trial rows);
-        * noise is applied as one ``(trials, rows, cols)`` batched pass per
-          (cycle, segment) block through
-          :meth:`~repro.nonideal.stack.TrialNoiseStates.perturb_trials`,
-          whose per-trial slices equal the solo keyed draws exactly;
-        * conversion and merge run per trial — each trial's (differently
-          sized) transfer LUT gathers through
-          :class:`repro.adc.lut.TrialLutGather` and merges with an
-          order-free exact power-of-two contraction.
-
-        When every trial receives the same input rows (always true for the
-        first MVM layer), the matmul is computed once and broadcast into the
-        batched perturbation instead of repeated per trial.
-        """
-        trials, batch = input_codes.shape[0], input_codes.shape[1]
-        num_cycles = self.num_input_cycles
-        cols = 2 * self.num_weight_planes * self.out_features
-        if trials == 1:
-            shared_input = True
-        elif not np.array_equal(input_codes[0], input_codes[1]):
-            # Diverged trials almost always differ in the first pair; one
-            # short-circuit compare settles the common case.
-            shared_input = False
-        else:
-            shared_input = trials == 2 or bool(
-                (input_codes[2:] == input_codes[:1]).all()
-            )
-
-        # The conversion setup below — value maps, per-trial transfer LUTs,
-        # the combined gather tables — is a pure function of (noise binding,
-        # ADC instances), both stable across the chunks of one Monte Carlo
-        # run.  A single-slot identity-keyed cache makes it a per-run cost
-        # instead of a per-chunk one; in the overhead-bound small-row regime
-        # the batching targets, this setup would otherwise rival the kernel
-        # work itself.
-        cache = self.__dict__.setdefault("_trials_conversion_cache", {})
-        cached = cache.get(id(noise))
-        adcs_key = tuple(adcs) if adcs is not None else None
-        if (
-            cached is not None
-            and cached[0] is noise
-            and cached[1] is not None
-            and adcs_key is not None
-            and len(cached[1]) == len(adcs_key)
-            and all(a is b for a, b in zip(cached[1], adcs_key))
-        ):
-            luts, value_mapped, gather = cached[2], cached[3], cached[4]
-            if luts is None:
-                return self._matmul_fast_trials_fallback(
-                    input_codes, adcs, noise, shared_input
-                )
-            integer_noise = True
-        else:
-            integer_noise = noise.integer_domain
-            luts = None
-            value_mapped = False
-            gather = None
-            if adcs is not None:
-                lut_capable = all(
-                    getattr(adc, "transfer_lut", None) is not None for adc in adcs
-                )
-                if lut_capable and integer_noise:
-                    vmaps = noise.pure_value_maps()
-                    if vmaps is not None:
-                        luts = []
-                        for adc, vmap in zip(adcs, vmaps):
-                            lut = adc.transfer_lut(int(vmap.max(initial=0)))
-                            if lut.levels is None:
-                                luts = None
-                                break
-                            luts.append(compose_transfer_lut(lut, vmap))
-                        if luts is not None:
-                            value_mapped = True
-                    else:
-                        luts = [
-                            adc.transfer_lut(bound)
-                            for adc, bound in zip(adcs, noise.lut_bounds)
-                        ]
-                        if any(lut.levels is None for lut in luts):
-                            luts = None
-                if luts is not None:
-                    gather = TrialLutGather(luts)
-                if len(cache) >= 64:
-                    cache.clear()
-                # The entry holds a strong reference to its noise object, so
-                # the ``id`` key cannot be recycled while the entry lives.
-                cache[id(noise)] = (noise, adcs_key, luts, value_mapped, gather)
-                if luts is None:
-                    return self._matmul_fast_trials_fallback(
-                        input_codes, adcs, noise, shared_input
-                    )
-            elif not integer_noise:
-                return self._matmul_fast_trials_fallback(
-                    input_codes, None, noise, shared_input
-                )
-
-        ops_shim = active_ops()
-        eff = 1 if shared_input else trials
-        stacked = self._stack_cycles(
-            input_codes[0]
-            if shared_input
-            else input_codes.reshape(trials * batch, self.in_features)
-        )
-        perturb_blocks = not value_mapped
-        baseline_ops = self.topology.ideal_adc_resolution
-        fused_factors = self._fused_factors.reshape(num_cycles, -1)
-        # Cache blocking: the per-trial loop incidentally works on small,
-        # cache-resident blocks; a naive trial batch would drag every
-        # element-wise pass to DRAM-sized arrays and *lose* to the loop.
-        # Tile the batch (MVM-row) axis so one ``(trials, cycles, rows,
-        # cols)`` block of the perturb → gather → merge chain stays near
-        # ``_FAST_TILE`` elements.  Blocking the row axis is bit-safe only
-        # for cycle-invariant (row-count-agnostic) noise; per-read draws
-        # are shaped by the full chunk, so that path materializes the
-        # whole chunk first and the blocking only covers gather + merge.
-        row_blk = max(1, self._FAST_TILE // max(1, trials * num_cycles * cols))
-        invariant_perturb = perturb_blocks and noise.cycle_invariant
-        outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
-        total_ops = [0] * trials
-        partials_buf = self._fast_buffer(
-            "partials", (num_cycles * eff * batch, cols), np.float32
-        )
-        if perturb_blocks and not invariant_perturb:
-            noisy_buf = self._fast_buffer(
-                "noisy_trials", (trials * num_cycles * batch, cols), np.float64
-            )
-        if luts is not None:
-            counts = gather.new_counts()
-            blk_rows = min(row_blk, batch)
-            levels_buf = self._fast_buffer(
-                "levels_trials",
-                (trials * num_cycles * blk_rows, cols),
-                gather.levels.dtype,
-            )
-
-        for segment_index, segment in enumerate(self._segments):
-            ops_shim.matmul(
-                stacked[:, segment], self._plane_matrix[segment], out=partials_buf
-            )
-            raw = partials_buf.reshape(num_cycles, eff, batch, cols)
-            noisy_full = None
-            if perturb_blocks and not invariant_perturb:
-                # Per-read draws are shaped by the whole chunk: one batched
-                # keyed-noise pass per (cycle, segment) block, materialized
-                # before the blocked gather/merge below.  The per-trial
-                # slices equal the solo perturb_block calls.
-                noisy_full = noisy_buf.reshape(trials, num_cycles, batch, cols)
-                for cycle_index in range(num_cycles):
-                    values = raw[cycle_index]
-                    if eff == 1:
-                        values = np.broadcast_to(values[0], (trials, batch, cols))
-                    np.copyto(
-                        noisy_full[:, cycle_index],
-                        noise.perturb_trials(values, segment_index, cycle_index),
-                    )
-            for start in range(0, batch, row_blk):
-                stop = min(start + row_blk, batch)
-                rows = stop - start
-                if noisy_full is not None:
-                    source = noisy_full[:, :, start:stop]
-                elif invariant_perturb:
-                    # Static stacks perturb every input cycle identically,
-                    # so one batched pass covers the block's whole cycle
-                    # axis — the models are row-count-agnostic, making each
-                    # row's result equal the per-cycle chain bit for bit.
-                    block = raw[:, :, start:stop]
-                    if eff == 1:
-                        values = np.broadcast_to(
-                            block.reshape(num_cycles * rows, cols),
-                            (trials, num_cycles * rows, cols),
-                        )
-                    else:
-                        values = block.transpose(1, 0, 2, 3).reshape(
-                            trials, num_cycles * rows, cols
-                        )
-                    source = noise.perturb_trials(
-                        values, segment_index, 0
-                    ).reshape(trials, num_cycles, rows, cols)
-                elif eff == 1:
-                    source = np.broadcast_to(
-                        raw[:, 0, start:stop], (trials, num_cycles, rows, cols)
-                    )
-                else:
-                    source = raw[:, :, start:stop].transpose(1, 0, 2, 3)
-                if luts is None:
-                    merged = source
-                else:
-                    levels = levels_buf[: trials * num_cycles * rows].reshape(
-                        trials, num_cycles, rows, cols
-                    )
-                    gather.gather(source, counts, levels)
-                    merged = levels
-                # Order-free exact power-of-two contraction, one cache-sized
-                # batched block at a time.
-                outputs[:, start:stop] += np.tensordot(
-                    merged.reshape(
-                        trials,
-                        num_cycles,
-                        rows,
-                        2 * self.num_weight_planes,
-                        self.out_features,
-                    ),
-                    fused_factors,
-                    axes=([1, 3], [0, 1]),
-                )
-            if luts is None:
-                for t in range(trials):
-                    total_ops[t] += num_cycles * batch * cols * baseline_ops
-
-        if luts is not None:
-            for t, ops_count in enumerate(gather.record_trials(counts, adcs)):
-                total_ops[t] += ops_count
-                if luts[t].scale != 1.0:
-                    outputs[t] *= luts[t].scale
-        return outputs, total_ops
-
-    def _matmul_fast_trials_fallback(
-        self,
-        input_codes: np.ndarray,
-        adcs: Optional[List[object]],
-        noise,
-        shared_input: bool,
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Batched element-wise (non-LUT) conversion path.
-
-        Mirrors :meth:`_matmul_fast_fallback` per trial — same block order,
-        same replayed reference accumulation for float merges — but the
-        keyed noise still runs as one ``(trials, rows, cols)`` batched pass
-        per block, and the segment matmul is shared across trials whenever
-        the inputs are.
-        """
-        trials, batch = input_codes.shape[0], input_codes.shape[1]
-        num_cycles = self.num_input_cycles
-        cols = 2 * self.num_weight_planes * self.out_features
-        ops_shim = active_ops()
-        eff = 1 if shared_input else trials
-        stacked = self._stack_cycles(
-            input_codes[0]
-            if shared_input
-            else input_codes.reshape(trials * batch, self.in_features)
-        )
-        baseline_ops = self.topology.ideal_adc_resolution
-        if adcs is None:
-            converters = [None] * trials
-        else:
-            converters = [getattr(adc, "convert_levels", None) for adc in adcs]
-        scale = (
-            float(adcs[0].level_scale) if converters[0] is not None else 1.0
-        )
-        preserve_order = converters[0] is None
-        outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
-        total_ops = [0] * trials
-        contributions: List[List[List[np.ndarray]]] = [
-            [[] for _ in range(num_cycles)] for _ in range(trials)
-        ]
-        for segment_index, segment in enumerate(self._segments):
-            partials = ops_shim.matmul(stacked[:, segment], self._plane_matrix[segment])
-            blocks = partials.reshape(num_cycles, eff, batch, cols)
-            noisy_all = None
-            if noise.cycle_invariant:
-                # Same cycle-axis fold as the LUT path: static stacks
-                # perturb the segment's cycles in one batched pass.
-                if eff == 1:
-                    values = np.broadcast_to(
-                        blocks.reshape(num_cycles * batch, cols),
-                        (trials, num_cycles * batch, cols),
-                    )
-                else:
-                    values = blocks.transpose(1, 0, 2, 3).reshape(
-                        trials, num_cycles * batch, cols
-                    )
-                noisy_all = noise.perturb_trials(values, segment_index, 0).reshape(
-                    trials, num_cycles, batch, cols
-                )
-            for cycle_index in range(num_cycles):
-                if noisy_all is not None:
-                    noisy = noisy_all[:, cycle_index]
-                else:
-                    values = blocks[cycle_index]
-                    if eff == 1:
-                        values = np.broadcast_to(values[0], (trials, batch, cols))
-                    noisy = noise.perturb_trials(values, segment_index, cycle_index)
-                cycle_factor = float(1 << (cycle_index * self.topology.dac_bits))
-                for t in range(trials):
-                    block = noisy[t]
-                    if adcs is None:
-                        quantized = block
-                        total_ops[t] += block.size * baseline_ops
-                    elif converters[t] is not None:
-                        quantized, ops = converters[t](block)
-                        total_ops[t] += int(ops)
-                    else:
-                        quantized, ops = adcs[t].convert(block)
-                        total_ops[t] += int(ops)
-                    contribution = cycle_factor * self.merge_partials(quantized)
-                    if preserve_order:
-                        contributions[t][cycle_index].append(contribution)
-                    else:
-                        outputs[t] += contribution
-        for t in range(trials):
-            for per_cycle in contributions[t]:
-                for contribution in per_cycle:
-                    outputs[t] += contribution
-        if scale != 1.0:
-            outputs *= scale
-        return outputs, total_ops
 
     def _fast_buffer(self, name: str, shape: Tuple[int, int], dtype) -> np.ndarray:
         """A reusable scratch buffer (avoids large re-allocations per chunk)."""

@@ -116,12 +116,6 @@ class ExecutionContext:
     wave: Optional[int] = None
     shard: Optional[int] = None
     wave_override: Optional[int] = None
-    #: Monte Carlo trials per batched kernel invocation.  ``1`` keeps the
-    #: per-trial loop; ``N > 1`` additionally lets the in-process serial
-    #: executor coalesce sibling per-seed MC jobs of one wave into a single
-    #: batched execution.  Purely an execution knob — job hashes and store
-    #: bytes are invariant under it.
-    trial_batch: int = 1
 
     def should_inject(self, node: ScheduledJob) -> bool:
         return any(index in self.inject for index in node.indices)
@@ -265,45 +259,19 @@ def resolve_executor(
 # Serial
 # --------------------------------------------------------------------- #
 class SerialExecutor(Executor):
-    """In-process execution, one job at a time, in scheduler order.
-
-    With ``context.trial_batch > 1``, sibling per-seed Monte Carlo jobs of
-    one wave (same :func:`~repro.experiments.runner.mc_group_signature` —
-    they differ only in ``mc_seed``) are coalesced into a single batched
-    execution: one clean reference, one prepared workload, and all trials
-    flattened through the batched trials kernel.  Store artifacts stay
-    byte-identical to per-job execution; grouping only changes wall time.
-    """
+    """In-process execution, one job at a time, in scheduler order."""
 
     name = "serial"
 
     def run_wave(
         self, wave: Sequence[ScheduledJob], context: ExecutionContext
     ) -> Iterator[WaveOutcome]:
-        from repro.experiments.runner import (  # lazy: cycle
-            execute_job,
-            execute_mc_group_nodes,
-            mc_group_signature,
-        )
+        from repro.experiments.runner import execute_job  # lazy: cycle
 
         # The whole wave is "submitted" when it is handed over, so a serial
         # job's queue wait honestly includes its predecessors' run time.
         submitted = time.monotonic()
-        groups: Dict[str, List[ScheduledJob]] = {}
-        if context.trial_batch > 1:
-            for node in wave:
-                signature = mc_group_signature(node.job)
-                if signature is not None:
-                    groups.setdefault(signature, []).append(node)
-            groups = {
-                signature: nodes
-                for signature, nodes in groups.items()
-                if len(nodes) > 1
-            }
-        grouped = {id(node) for nodes in groups.values() for node in nodes}
         for node in wave:
-            if id(node) in grouped:
-                continue
             try:
                 if context.should_inject(node):
                     raise _injected_error(node.job)
@@ -311,7 +279,6 @@ class SerialExecutor(Executor):
                     node.job, context.store, context.weights_cache_dir, context.salt,
                     tracer=context.tracer,
                     trace_fields=context.job_trace_fields(node, submitted_mono=submitted),
-                    trial_batch=context.trial_batch,
                 )
             except KeyboardInterrupt:
                 raise
@@ -319,8 +286,6 @@ class SerialExecutor(Executor):
                 yield node, error
             else:
                 yield node, None
-        for nodes in groups.values():
-            yield from execute_mc_group_nodes(nodes, context, submitted_mono=submitted)
 
 
 # --------------------------------------------------------------------- #

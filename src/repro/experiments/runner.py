@@ -54,7 +54,6 @@ bit-line distribution capture behind ``uniform_calibrated`` evaluations
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from pathlib import Path
@@ -62,7 +61,6 @@ from typing import Callable, Collection, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.backend import active_backend_name
 from repro.experiments.executors import (
     ExecutionContext,
     Executor,
@@ -318,19 +316,33 @@ def _execute_evaluate(
     return result
 
 
-def _save_monte_carlo(
+def _execute_monte_carlo(
     job: JobSpec,
     store: ResultStore,
+    weights_cache_dir: Optional[str],
     salt: Optional[str],
     key: str,
-    result,
 ) -> None:
-    """Persist one Monte Carlo artifact.
-
-    Shared by the per-job path and the cross-job trial coalescer so both
-    construct the payload through the same code — the store bytes of a
-    coalesced job are identical to its solo execution by construction.
-    """
+    clean = _clean_reference(job, store, weights_cache_dir, salt)
+    prepared = _prepared_workload(job, weights_cache_dir)
+    simulator = prepared.simulator
+    split = prepared.eval_split(job.images)
+    if job.adc.needs_distributions:
+        samples = _distribution_samples(job, store, weights_cache_dir, salt)
+        configs = job.adc.build_configs_from_samples(samples)
+    else:
+        configs = job.adc.build_configs(simulator.layer_names())
+    result = simulator.run_monte_carlo(
+        split.images,
+        split.labels,
+        job.noise.build_stack(),
+        adc_configs=configs,
+        trials=job.trials,
+        batch_size=job.batch_size,
+        seed=job.mc_seed,
+        confidence=job.confidence,
+        clean=clean,
+    )
     payload = {
         "key": key,
         "salt": salt if salt is not None else code_version_salt(),
@@ -344,257 +356,6 @@ def _save_monte_carlo(
     }
     arrays = {"accuracies": result.accuracies, "flip_rates": result.flip_rates}
     store.save(key, payload, arrays)
-
-
-def _monte_carlo_inputs(
-    job: JobSpec,
-    store: ResultStore,
-    weights_cache_dir: Optional[str],
-    salt: Optional[str],
-):
-    """The shared execution inputs of one MC job (or one sibling group)."""
-    clean = _clean_reference(job, store, weights_cache_dir, salt)
-    prepared = _prepared_workload(job, weights_cache_dir)
-    simulator = prepared.simulator
-    split = prepared.eval_split(job.images)
-    if job.adc.needs_distributions:
-        samples = _distribution_samples(job, store, weights_cache_dir, salt)
-        configs = job.adc.build_configs_from_samples(samples)
-    else:
-        configs = job.adc.build_configs(simulator.layer_names())
-    stack = job.noise.build_stack()
-    return clean, simulator, split, configs, stack
-
-
-def _execute_monte_carlo(
-    job: JobSpec,
-    store: ResultStore,
-    weights_cache_dir: Optional[str],
-    salt: Optional[str],
-    key: str,
-    trial_batch: int = 1,
-) -> None:
-    clean, simulator, split, configs, stack = _monte_carlo_inputs(
-        job, store, weights_cache_dir, salt
-    )
-    result = simulator.run_monte_carlo(
-        split.images,
-        split.labels,
-        stack,
-        adc_configs=configs,
-        trials=job.trials,
-        batch_size=job.batch_size,
-        seed=job.mc_seed,
-        confidence=job.confidence,
-        clean=clean,
-        trial_batch=trial_batch,
-    )
-    _save_monte_carlo(job, store, salt, key, result)
-
-
-def mc_group_signature(job: JobSpec) -> Optional[str]:
-    """Coalescing signature of a Monte Carlo job, or ``None``.
-
-    Jobs sharing a signature differ **only** in ``mc_seed`` — same
-    workload, images, ADC, engine, noise stack, trial count and confidence
-    — so their per-trial noise stacks are siblings of one base stack and
-    their trials can ride through one batched execution
-    (:meth:`~repro.sim.simulator.PimSimulator.monte_carlo_trial_results`).
-    ``trial_batch`` itself never enters the signature (or any job hash):
-    it is purely an execution knob, invisible to content addressing.
-    """
-    if job.kind != "monte_carlo":
-        return None
-    resolved = dict(job.resolved())
-    resolved.pop("mc_seed", None)
-    return json.dumps(resolved, sort_keys=True)
-
-
-def execute_mc_group(
-    jobs: List[JobSpec],
-    store: ResultStore,
-    weights_cache_dir: Optional[str] = None,
-    salt: Optional[str] = None,
-    trial_batch: int = 1,
-) -> List[str]:
-    """Execute sibling per-seed Monte Carlo jobs as one batched run.
-
-    ``jobs`` must share one :func:`mc_group_signature`.  All their trials
-    are flattened into one ``(job, trial)`` sequence and executed through
-    the batched trials kernel in groups of ``trial_batch`` — clean
-    reference, prepared workload, ADC configs and the base noise stack are
-    resolved once for the whole group.  Each job's artifact is then
-    assembled and persisted exactly as its solo execution would: per-trial
-    results are **bit-identical** regardless of grouping (each trial's
-    stack is derived from ``(job.mc_seed, trial)`` alone), so the stored
-    payload and array bytes match the per-job path byte for byte.
-
-    Returns the jobs' store keys in input order.
-    """
-    if not jobs:
-        return []
-    signatures = {mc_group_signature(job) for job in jobs}
-    if len(signatures) != 1 or None in signatures:
-        raise ValueError(
-            "execute_mc_group needs sibling monte_carlo jobs differing only "
-            "in mc_seed"
-        )
-    job0 = jobs[0]
-    keys = [job_key(job, salt) for job in jobs]
-    clean, simulator, split, configs, stack = _monte_carlo_inputs(
-        job0, store, weights_cache_dir, salt
-    )
-    pairs = [(job, trial) for job in jobs for trial in range(job.trials)]
-    trial_results: List[SimulationResult] = []
-    for start in range(0, len(pairs), max(1, trial_batch)):
-        chunk = pairs[start : start + max(1, trial_batch)]
-        chunk_stacks = [stack.derive_trial(job.mc_seed, trial) for job, trial in chunk]
-        if len(chunk_stacks) == 1:
-            trial_results.append(
-                simulator.evaluate(
-                    split.images,
-                    split.labels,
-                    configs,
-                    batch_size=job0.batch_size,
-                    noise=chunk_stacks[0],
-                )
-            )
-        else:
-            trial_results.extend(
-                simulator.monte_carlo_trial_results(
-                    split.images, split.labels, chunk_stacks, configs, job0.batch_size
-                )
-            )
-    offset = 0
-    for job, key in zip(jobs, keys):
-        result = simulator.assemble_monte_carlo(
-            clean,
-            trial_results[offset : offset + job.trials],
-            seed=job.mc_seed,
-            confidence=job.confidence,
-            stack=stack,
-        )
-        offset += job.trials
-        _save_monte_carlo(job, store, salt, key, result)
-    return keys
-
-
-def execute_mc_group_nodes(nodes, context, submitted_mono=None):
-    """Run one wave's group of sibling MC nodes coalesced; yield outcomes.
-
-    The executor-facing wrapper around :func:`execute_mc_group`: store
-    cache hits short-circuit per node (``job_cached``), a single remaining
-    node runs the ordinary per-job path, and a genuine group computes once
-    for everyone.  Lifecycle telemetry is emitted per node **after** the
-    group completes (a failed group falls back to per-job execution, which
-    owns its own full lifecycle — so no node ever records two attempts):
-    each node's ``job_finish`` carries the amortised ``duration_s``
-    (group wall time / group size) plus the whole-group ``group_duration_s``
-    and ``coalesced`` count, so per-kind timing aggregates stay meaningful.
-
-    Yields ``(node, error-or-None)`` per node, like ``Executor.run_wave``.
-    """
-    store, salt, tracer = context.store, context.salt, context.tracer
-
-    def run_solo(node):
-        try:
-            if context.should_inject(node):
-                from repro.experiments.executors import _injected_error
-
-                raise _injected_error(node.job)
-            execute_job(
-                node.job, store, context.weights_cache_dir, salt,
-                tracer=tracer,
-                trace_fields=context.job_trace_fields(
-                    node, submitted_mono=submitted_mono
-                ),
-                trial_batch=context.trial_batch,
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:  # noqa: BLE001 - the policy decides
-            return node, error
-        return node, None
-
-    remaining = []
-    for node in nodes:
-        if store.has(node.key):
-            tracer.emit(
-                telemetry_events.JOB_CACHED,
-                key=node.key, kind=node.job.kind, index=node.index,
-                wave=context.wave, shard=context.shard,
-            )
-            yield node, None
-        elif context.should_inject(node):
-            yield run_solo(node)
-        else:
-            remaining.append(node)
-    if not remaining:
-        return
-    if len(remaining) == 1:
-        yield run_solo(remaining[0])
-        return
-
-    probe = JobResourceProbe()
-    started = time.perf_counter()
-    try:
-        execute_mc_group(
-            [node.job for node in remaining], store,
-            context.weights_cache_dir, salt,
-            trial_batch=context.trial_batch,
-        )
-    except KeyboardInterrupt:
-        raise
-    except Exception as error:  # noqa: BLE001 - fall back to solo execution
-        logger.warning(
-            "coalesced Monte Carlo group failed (%s: %s); retrying jobs "
-            "individually", type(error).__name__, error,
-        )
-        for node in remaining:
-            yield run_solo(node)
-        return
-    duration = time.perf_counter() - started
-    resources = probe.finish()
-    if "cpu_s" in resources:
-        resources = {
-            **resources,
-            "cpu_s": round(resources["cpu_s"] / len(remaining), 6),
-        }
-    share = duration / len(remaining)
-    execution = {
-        "backend": active_backend_name(),
-        "trial_batch": int(context.trial_batch),
-        "coalesced": len(remaining),
-        "group_duration_s": duration,
-    }
-    for node in remaining:
-        fields = context.job_trace_fields(node, submitted_mono=submitted_mono)
-        submitted = fields.pop("submitted_mono", None)
-        tracer.emit(
-            telemetry_events.JOB_START,
-            key=node.key, kind=node.job.kind,
-            queue_wait_s=(
-                max(time.monotonic() - submitted - duration, 0.0)
-                if submitted is not None else None
-            ),
-            **fields,
-        )
-        tracer.emit(
-            telemetry_events.JOB_FINISH,
-            key=node.key, kind=node.job.kind, duration_s=share,
-            outcome="computed",
-            **execution,
-            **resources,
-            **fields,
-        )
-        store.save_meta(
-            node.key,
-            {
-                "kind": node.job.kind, "duration_s": share,
-                "worker": worker_name(tracer), **execution, **resources,
-            },
-        )
-        yield node, None
 
 
 def _execute_calibration(
@@ -748,25 +509,18 @@ def execute_job(
     salt: Optional[str] = None,
     tracer: Tracer = NULL_TRACER,
     trace_fields: Optional[Dict[str, object]] = None,
-    trial_batch: int = 1,
 ) -> str:
     """Execute one atomic job, persist its artifact, return its key.
 
     Idempotent: if the store already holds the key, nothing is computed.
     Timing and resource usage are recorded out-of-band either way: a
-    ``<store>/meta/<key>.json`` sidecar (``duration_s``, ``worker``, the
-    active array ``backend``, plus ``cpu_s``/``max_rss_kb`` where the
-    platform reports them) always, and
+    ``<store>/meta/<key>.json`` sidecar (``duration_s``, ``worker``, plus
+    ``cpu_s``/``max_rss_kb`` where the platform reports them) always, and
     job lifecycle events on ``tracer`` when tracing.  ``trace_fields`` carries scheduling
     context (index/wave/shard/deps) onto the events; its ``submitted_mono``
     entry — the monotonic instant the job's wave was handed to the
     executor — becomes ``queue_wait_s`` on the start event.  Neither
     touches the artifact bytes.
-
-    ``trial_batch`` sets how many Monte Carlo trials ride through one
-    batched kernel invocation (other job kinds ignore it).  It is an
-    execution knob, never part of the job's content address: under the
-    numpy backend every value writes byte-identical artifacts.
     """
     key = job_key(job, salt)
     fields = dict(trace_fields or {})
@@ -796,9 +550,7 @@ def execute_job(
             else:
                 _execute_reference_evaluate(job, store, weights_cache_dir, salt, key)
         elif job.kind == "monte_carlo":
-            _execute_monte_carlo(
-                job, store, weights_cache_dir, salt, key, trial_batch=trial_batch
-            )
+            _execute_monte_carlo(job, store, weights_cache_dir, salt, key)
         elif job.kind == "calibration":
             _execute_calibration(job, store, weights_cache_dir, salt, key)
         elif job.kind == "distribution":
@@ -818,13 +570,9 @@ def execute_job(
         raise
     duration = time.perf_counter() - started
     resources = probe.finish()
-    execution = {"backend": active_backend_name()}
-    if job.kind == "monte_carlo":
-        execution["trial_batch"] = int(trial_batch)
     tracer.emit(
         telemetry_events.JOB_FINISH,
         key=key, kind=job.kind, duration_s=duration, outcome="computed",
-        **execution,
         **resources,
         **fields,
     )
@@ -832,7 +580,7 @@ def execute_job(
         key,
         {
             "kind": job.kind, "duration_s": duration,
-            "worker": worker_name(tracer), **execution, **resources,
+            "worker": worker_name(tracer), **resources,
         },
     )
     logger.debug("job %s (%s) in %.2fs", key[:12], job.kind, duration)
@@ -1123,8 +871,6 @@ def run_sweep(
     workers: int = 2,
     trace: Union[bool, str, Tracer, None] = None,
     history: Union[str, Path, None] = None,
-    trial_batch: int = 1,
-    backend: Optional[str] = None,
 ) -> SweepRun:
     """Execute a sweep against a result store and aggregate its table.
 
@@ -1180,18 +926,6 @@ def run_sweep(
         efficiency, per-kind quantiles, peak RSS) is appended after the
         sweep completes.  ``None`` (default) records no history; untraced
         sweeps never do (there is nothing to summarise).
-    trial_batch:
-        Monte Carlo trials per batched kernel invocation (``1`` keeps the
-        per-trial loop).  With the serial executor, ``N > 1`` also
-        coalesces sibling per-seed MC jobs of a wave into one batched
-        execution.  Purely a wall-clock knob: job hashes, store artifacts
-        and rows are byte-identical for every value (numpy backend).
-    backend:
-        Array backend name (see :mod:`repro.backend`) activated for this
-        sweep; ``None`` keeps the process default (numpy, or
-        ``REPRO_BACKEND``).  The active backend is recorded on telemetry
-        events, meta sidecars and the history record so perf comparisons
-        never silently span backends.
 
     The returned :class:`SweepRun` carries rows in expansion order; the
     aggregate is identical whether the sweep ran serially, in parallel,
@@ -1202,12 +936,6 @@ def run_sweep(
         store = ResultStore(store)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if trial_batch < 1:
-        raise ValueError(f"trial_batch must be >= 1, got {trial_batch}")
-    if backend is not None:
-        from repro.backend import set_backend
-
-        set_backend(backend)
     # Writers killed mid-stage (SIGKILL, lost workers) leave dead temp
     # files behind; sweep them before scheduling so they never accumulate.
     store.sweep_stale_tmps()
@@ -1371,7 +1099,6 @@ def run_sweep(
                 tracer=tracer,
                 trace_dir=telemetry_dir,
                 trace_run_id=getattr(tracer, "run_id", None),
-                trial_batch=trial_batch,
             )
             execute_graph(graph, exec_instance, context, on_result, progress)
     finally:
@@ -1411,8 +1138,6 @@ def run_sweep(
             record = history_record(
                 summary_to_jsonable(summarize(load_run(telemetry_dir))),
                 executor=exec_instance.name,
-                backend=active_backend_name(),
-                trial_batch=trial_batch,
             )
             append_history(history, record)
         except Exception as error:  # noqa: BLE001 - history is advisory

@@ -42,7 +42,7 @@ models expose three capabilities the engines exploit:
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, Dict, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -85,9 +85,8 @@ class LayerNoiseContext:
         """The derived seed for ``labels`` under this context.
 
         This integer *is* the keyed-sampling counter: feeding it to
-        :func:`repro.utils.rng.new_rng` (as :meth:`rng` does) or to the
-        array backend's ``keyed_normal`` yields the same numpy-canonical
-        stream in every engine, batch layout and backend.
+        :func:`repro.utils.rng.new_rng` (as :meth:`rng` does) yields the
+        same stream in every engine and batch layout.
         """
         return derive_seed(self.seed, "nonideal", self.model_index, self.layer, *labels)
 
@@ -118,22 +117,6 @@ class BoundModel:
         """True when ``perturb`` maps exact integers to exact integers."""
         return False
 
-    @property
-    def cycle_invariant(self) -> bool:
-        """True when ``perturb`` is independent of ``(cycle, chunk)``.
-
-        Static device state (programmed variation factors, fault maps,
-        drift, wire geometry) perturbs every input cycle of a segment
-        identically, element-wise per (row, column) — independent of the
-        row count and of which cycle or chunk a block belongs to.
-        Declaring this lets the batched Monte Carlo kernel collapse its
-        per-(segment, cycle) loop into **one** ``perturb_trials`` call per
-        segment covering all input cycles at once.  Models that re-draw
-        per read access (noise keyed by ``(chunk, segment, cycle)`` or
-        shaped by the row count) must leave this ``False``.
-        """
-        return False
-
     def output_bound(self, input_bound: int) -> int:
         """Upper bound of perturbed values given inputs in ``0 … input_bound``.
 
@@ -155,62 +138,6 @@ class BoundModel:
     ) -> np.ndarray:
         """Perturb one raw bit-line block of shape ``(rows, columns)``."""
         return values
-
-    @staticmethod
-    def perturb_trials(
-        siblings: Sequence["BoundModel"],
-        values: np.ndarray,
-        segment: int,
-        cycle: int,
-        chunk: int,
-    ) -> np.ndarray:
-        """Perturb a ``(trials, rows, columns)`` batch of sibling replicas.
-
-        ``siblings[t]`` is the same model bound under Monte Carlo trial
-        ``t``'s derived seed; ``values[t]`` is that trial's raw block.  The
-        batched Monte Carlo kernel calls this once per (segment, cycle)
-        block instead of ``trials`` separate ``perturb`` calls.
-
-        The contract is **bit-identity**: ``result[t]`` must equal
-        ``siblings[t].perturb(values[t], ...)`` exactly.  This default
-        simply loops; concrete models override it with a vectorised batch
-        (stacked static factors, one fused element-wise pass) whose
-        per-trial slices are exact because every operation involved is
-        element-wise per trial.
-        """
-        out = np.empty(
-            (len(siblings),) + tuple(values.shape[1:]), dtype=np.float64
-        )
-        for index, bound in enumerate(siblings):
-            out[index] = bound.perturb(values[index], segment, cycle, chunk)
-        return out
-
-
-def stacked_trial_state(siblings, segment, builder):
-    """Cached per-trial stacked static state of one sibling group.
-
-    Vectorised ``perturb_trials`` implementations stack each sibling's
-    static per-segment state (variation factors, fault deltas) into one
-    ``(trials, …)`` array.  Rebuilding that stack on every chunk call is a
-    fixed cost the batched kernel pays per invocation — dominant in the
-    overhead-bound small-row regime the batching targets — so the stack is
-    cached on the first sibling, keyed by ``segment``.  Each entry remembers
-    the exact sibling tuple it was built from and is rebuilt whenever the
-    grouping changes (trial sub-groups slice sibling lists differently), so
-    a hit can never mix state across groups.
-    """
-    owner = siblings[0]
-    cache = owner.__dict__.setdefault("_stacked_trial_cache", {})
-    entry = cache.get(segment)
-    if entry is not None:
-        group, stacked = entry
-        if len(group) == len(siblings) and all(
-            a is b for a, b in zip(group, siblings)
-        ):
-            return stacked
-    stacked = builder()
-    cache[segment] = (tuple(siblings), stacked)
-    return stacked
 
 
 class NonIdealityModel:

@@ -26,14 +26,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.nonideal.base import (
-    BoundModel,
-    LayerNoiseContext,
-    NonIdealityModel,
-    stacked_trial_state,
-)
+from repro.nonideal.base import BoundModel, LayerNoiseContext, NonIdealityModel
 from repro.nonideal.registry import register_model
 from repro.utils.numeric import round_half_up
+from repro.utils.rng import new_rng
 from repro.utils.validation import check_in_range
 
 
@@ -50,22 +46,8 @@ class _IdentityBound(BoundModel):
     def integer_domain(self) -> bool:
         return True
 
-    @property
-    def cycle_invariant(self) -> bool:
-        return True
-
     def value_map(self, input_bound: int) -> Optional[np.ndarray]:
         return np.arange(input_bound + 1, dtype=np.int64)
-
-    @staticmethod
-    def perturb_trials(siblings, values, segment, cycle, chunk):
-        return np.asarray(values, dtype=np.float64)
-
-
-def _per_trial(stacked: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Reshape per-trial ``(trials, columns)`` state to broadcast over
-    ``values`` of shape ``(trials, ..., columns)`` (any middle dims)."""
-    return stacked.reshape((stacked.shape[0],) + (1,) * (values.ndim - 2) + (-1,))
 
 
 # --------------------------------------------------------------------- #
@@ -77,28 +59,12 @@ class _BoundGaussianRead(BoundModel):
         self.sigma = sigma
 
     def _draw(self, shape, segment, cycle, chunk):
-        from repro.backend import active_ops  # lazy: avoid an import cycle
-
-        # Numpy-canonical on every backend (the draw is hash-relevant).
-        return active_ops().keyed_normal(
-            self.ctx.draw_key("read", chunk, segment, cycle), self.sigma, shape
-        )
+        key = self.ctx.draw_key("read", chunk, segment, cycle)
+        return new_rng(key).normal(0.0, self.sigma, shape)
 
     def perturb(self, values, segment, cycle, chunk):
         noise = self._draw(values.shape, segment, cycle, chunk)
         # Bit-line currents are physically non-negative.
-        return np.maximum(np.asarray(values, dtype=np.float64) + noise, 0.0)
-
-    @staticmethod
-    def perturb_trials(siblings, values, segment, cycle, chunk):
-        # The draws stay per-trial (each replica owns an independent keyed
-        # stream) but are applied in one fused element-wise pass — exact,
-        # because addition and the clamp act element by element per trial.
-        noise = np.empty(
-            (len(siblings),) + tuple(values.shape[1:]), dtype=np.float64
-        )
-        for index, bound in enumerate(siblings):
-            noise[index] = bound._draw(values.shape[1:], segment, cycle, chunk)
         return np.maximum(np.asarray(values, dtype=np.float64) + noise, 0.0)
 
 
@@ -151,30 +117,12 @@ class _BoundConductanceVariation(BoundModel):
     def integer_domain(self) -> bool:
         return self.quantize
 
-    @property
-    def cycle_invariant(self) -> bool:
-        return True
-
     def output_bound(self, input_bound: int) -> int:
         return int(round_half_up(input_bound * self._max_factor))
 
     def perturb(self, values, segment, cycle, chunk):
         scaled = np.asarray(values, dtype=np.float64) * self._factors[segment]
         if self.quantize:
-            return np.maximum(round_half_up(scaled), 0.0)
-        return scaled
-
-    @staticmethod
-    def perturb_trials(siblings, values, segment, cycle, chunk):
-        # One multiply against the stacked static factors; every step is
-        # element-wise per trial, so the batch is exactly the per-trial chain.
-        factors = stacked_trial_state(
-            siblings,
-            segment,
-            lambda: np.stack([bound._factors[segment] for bound in siblings]),
-        )
-        scaled = np.asarray(values, dtype=np.float64) * _per_trial(factors, values)
-        if siblings[0].quantize:
             return np.maximum(round_half_up(scaled), 0.0)
         return scaled
 
@@ -228,27 +176,12 @@ class _BoundStuckAt(BoundModel):
     def integer_domain(self) -> bool:
         return True
 
-    @property
-    def cycle_invariant(self) -> bool:
-        return True
-
     def output_bound(self, input_bound: int) -> int:
         return int(input_bound) + self._max_on
 
     def perturb(self, values, segment, cycle, chunk):
         return np.maximum(
             np.asarray(values, dtype=np.float64) + self._delta[segment], 0.0
-        )
-
-    @staticmethod
-    def perturb_trials(siblings, values, segment, cycle, chunk):
-        delta = stacked_trial_state(
-            siblings,
-            segment,
-            lambda: np.stack([bound._delta[segment] for bound in siblings]),
-        )
-        return np.maximum(
-            np.asarray(values, dtype=np.float64) + _per_trial(delta, values), 0.0
         )
 
 
@@ -294,10 +227,6 @@ class _BoundRetentionDrift(BoundModel):
     def integer_domain(self) -> bool:
         return True
 
-    @property
-    def cycle_invariant(self) -> bool:
-        return True
-
     def output_bound(self, input_bound: int) -> int:
         return int(round_half_up(input_bound * self.factor))
 
@@ -308,13 +237,6 @@ class _BoundRetentionDrift(BoundModel):
     def perturb(self, values, segment, cycle, chunk):
         # Must equal value_map element for element on exact integers.
         return round_half_up(np.asarray(values, dtype=np.float64) * self.factor)
-
-    @staticmethod
-    def perturb_trials(siblings, values, segment, cycle, chunk):
-        # ``factor`` is parameter-derived (seed-free): identical across trials.
-        return round_half_up(
-            np.asarray(values, dtype=np.float64) * siblings[0].factor
-        )
 
 
 @register_model
@@ -364,17 +286,8 @@ class _BoundIRDrop(BoundModel):
         position = (np.arange(ctx.columns) % size) / (size - 1)
         self._factors = 1.0 - alpha * position
 
-    @property
-    def cycle_invariant(self) -> bool:
-        return True
-
     def perturb(self, values, segment, cycle, chunk):
         return np.asarray(values, dtype=np.float64) * self._factors
-
-    @staticmethod
-    def perturb_trials(siblings, values, segment, cycle, chunk):
-        # Attenuation is deterministic geometry (seed-free): one broadcast.
-        return np.asarray(values, dtype=np.float64) * siblings[0]._factors
 
 
 @register_model

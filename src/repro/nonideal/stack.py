@@ -61,10 +61,6 @@ class LayerNoiseState:
         self._chunk += 1
         return self
 
-    @property
-    def chunk(self) -> int:
-        return self._chunk
-
     # ------------------------------------------------------------------ #
     def pure_value_map(self) -> Optional[np.ndarray]:
         """Composed integer value map of the whole stack, or ``None``.
@@ -100,80 +96,6 @@ class LayerNoiseState:
         chunk = self._chunk
         for model in self._bound:
             out = model.perturb(out, segment, cycle, chunk)
-        return out
-
-
-class TrialNoiseStates:
-    """Lockstep view over the sibling :class:`LayerNoiseState` of N trials.
-
-    The batched Monte Carlo kernel perturbs a ``(trials, rows, columns)``
-    block in one pass; this wrapper holds one bound state per trial (all
-    bound from the *same models* under different derived seeds, so every
-    trial carries the same model classes in the same order) and chains the
-    models model-major through
-    :meth:`~repro.nonideal.base.BoundModel.perturb_trials`.
-
-    The chunk counters advance in lockstep (:meth:`next_chunk`), keeping
-    every trial's keyed draws identical to what a solo run of that trial
-    would produce — the bit-identity contract of the batched path.
-    """
-
-    def __init__(self, states: Sequence[LayerNoiseState]) -> None:
-        if not states:
-            raise ValueError("TrialNoiseStates needs at least one trial state")
-        self.states: Tuple[LayerNoiseState, ...] = tuple(states)
-        # bind() picks the Bound class from parameters alone (never the
-        # seed), so the class sequence is identical across trials.
-        self.integer_domain = all(s.integer_domain for s in self.states)
-        self.lut_bounds: Tuple[int, ...] = tuple(s.lut_bound for s in self.states)
-        # Static stacks (no per-read draws) perturb every input cycle of a
-        # segment identically; the batched kernel then folds the cycle axis
-        # into a single perturb_trials call per segment.
-        self.cycle_invariant = all(
-            bound.cycle_invariant for state in self.states for bound in state._bound
-        )
-
-    @property
-    def trials(self) -> int:
-        return len(self.states)
-
-    def next_chunk(self) -> "TrialNoiseStates":
-        """Advance every trial's chunk counter in lockstep."""
-        for state in self.states:
-            state.next_chunk()
-        return self
-
-    def pure_value_maps(self) -> Optional[List[np.ndarray]]:
-        """Per-trial composed value maps, or ``None`` if any trial lacks one.
-
-        ``value_map`` availability is class-determined, so this is
-        all-or-none across trials in practice.
-        """
-        maps = [state.pure_value_map() for state in self.states]
-        if any(vmap is None for vmap in maps):
-            return None
-        return maps
-
-    def perturb_trials(
-        self, values: np.ndarray, segment: int, cycle: int
-    ) -> np.ndarray:
-        """Apply every model, in stack order, to a ``(trials, rows, cols)`` batch.
-
-        ``result[t]`` is bit-identical to
-        ``states[t].perturb_block(values[t], segment, cycle)`` because each
-        model's batched form is exactly per-trial-sliceable.  For
-        ``cycle_invariant`` stacks the kernel may fold several cycles' rows
-        into one call — the models are row-count-agnostic, so the result
-        still equals the per-cycle chain row for row.
-        """
-        out = np.asarray(values, dtype=np.float64)
-        chunk = self.states[0].chunk
-        num_models = len(self.states[0]._bound)
-        for index in range(num_models):
-            siblings = [state._bound[index] for state in self.states]
-            out = type(siblings[0]).perturb_trials(
-                siblings, out, segment, cycle, chunk
-            )
         return out
 
 

@@ -36,7 +36,7 @@ the old statistical-only agreement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -45,12 +45,7 @@ from repro.adc.trq import build_adc
 from repro.crossbar.mapping import DEFAULT_TOPOLOGY, CrossbarTopology, MappedMVMLayer
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Linear
-from repro.nonideal.stack import (
-    LayerNoiseState,
-    NonIdealityStack,
-    TrialNoiseStates,
-    as_stack,
-)
+from repro.nonideal.stack import LayerNoiseState, NonIdealityStack, as_stack
 from repro.quantization.ptq import QuantizedModel, find_mvm_layers
 from repro.sim.capture import DistributionCollector
 from repro.sim.fidelity import NoNoise
@@ -69,17 +64,8 @@ MAX_CHUNK_SIZE = 16_384
 MIN_CHUNK_SIZE = 512
 _CHUNK_ELEMENT_BUDGET = 1 << 21
 
-#: Scratch allowance of one batched-trials kernel invocation, relative to the
-#: solo budget.  At 1 a trial group gets exactly the solo
-#: ``_CHUNK_ELEMENT_BUDGET`` (``2²¹`` elements ≈ 16 MB as float64): the group
-#: is split across invocations once ``trials · rows · cycles · columns``
-#: would exceed it.
-_TRIAL_SCRATCH_FACTOR = 1
 
-
-def throughput_chunk_size(
-    num_input_cycles: int, total_columns: int, trial_batch: int = 1
-) -> int:
+def throughput_chunk_size(num_input_cycles: int, total_columns: int) -> int:
     """The fast engine's throughput chunk for one mapped layer's geometry.
 
     Chosen so the fused kernel's per-chunk scratch (``cycles · chunk ×
@@ -88,17 +74,8 @@ def throughput_chunk_size(
     maximum.  Used wherever ``chunk_size=None`` is passed — in particular by
     the calibration search's accuracy oracle, whose wall-time is dominated by
     these chunks.
-
-    ``trial_batch`` accounts for the batched Monte Carlo kernel, whose
-    scratch carries a leading ``trials`` axis: the budget divides by the
-    number of trials sharing one kernel invocation, so the physical working
-    set stays cache-resident regardless of how many trials ride along.
-    (The *logical* chunk grid of a Monte Carlo run always uses the solo
-    ``trial_batch=1`` value — chunk indices key the noise draws — while the
-    trials-mode backend uses the trial-adjusted value to pick how many
-    trials it groups per invocation; see ``PimBackend._execute_trials``.)
     """
-    per_row = max(1, int(num_input_cycles) * int(total_columns) * max(1, int(trial_batch)))
+    per_row = max(1, int(num_input_cycles) * int(total_columns))
     return max(MIN_CHUNK_SIZE, min(MAX_CHUNK_SIZE, _CHUNK_ELEMENT_BUDGET // per_row))
 
 
@@ -147,7 +124,6 @@ class PimBackend:
         collector: Optional[DistributionCollector] = None,
         noise=None,
         engine: str = "fast",
-        trial_stacks: Optional[Sequence[NonIdealityStack]] = None,
     ) -> None:
         if chunk_size is not None:
             check_in_range(check_integer(chunk_size, "chunk_size"), "chunk_size", low=1)
@@ -163,24 +139,6 @@ class PimBackend:
         self.noise: Optional[NonIdealityStack] = as_stack(noise)
         self._adc_configs = dict(adc_configs) if adc_configs else {}
 
-        # Batched Monte Carlo mode: one backend executes N sibling trials per
-        # kernel invocation.  Inputs arrive tiled trial-major (``trials ×
-        # rows``), every trial carries its own noise replica, ADC instance
-        # and statistics, and outputs stay bit-identical per trial to N solo
-        # runs (see ``_execute_trials``).
-        self._trial_stacks: Optional[Tuple[NonIdealityStack, ...]] = None
-        if trial_stacks is not None:
-            if noise is not None:
-                raise ValueError("pass either noise= or trial_stacks=, not both")
-            if collector is not None:
-                raise ValueError(
-                    "bit-line collection is not supported in batched-trials mode"
-                )
-            stacks = tuple(trial_stacks)
-            if not stacks:
-                raise ValueError("trial_stacks must contain at least one stack")
-            self._trial_stacks = stacks
-
         self._layer_names: Dict[int, str] = {
             id(layer): name for name, layer in find_mvm_layers(quantized.model)
         }
@@ -188,13 +146,6 @@ class PimBackend:
         self._adcs: Dict[str, object] = {}
         self._layer_noise: Dict[str, LayerNoiseState] = {}
         self.layer_stats: Dict[str, LayerSimStats] = {}
-        self._trial_noise: Dict[str, TrialNoiseStates] = {}
-        self._trial_adcs: Dict[str, Optional[List[object]]] = {}
-        self._group_noise: Dict[Tuple[str, int], List[TrialNoiseStates]] = {}
-        self.trial_layer_stats: List[Dict[str, LayerSimStats]] = (
-            [] if self._trial_stacks is None
-            else [{} for _ in self._trial_stacks]
-        )
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -253,160 +204,10 @@ class PimBackend:
         return self.layer_stats[name]
 
     # ------------------------------------------------------------------ #
-    # batched-trials plumbing
-    # ------------------------------------------------------------------ #
-    def _trial_noise_for(self, name: str, mapped: MappedMVMLayer) -> TrialNoiseStates:
-        states = self._trial_noise.get(name)
-        if states is None:
-            states = TrialNoiseStates(
-                [stack.bind_mapped(name, mapped) for stack in self._trial_stacks]
-            )
-            self._trial_noise[name] = states
-        return states
-
-    def _trial_adcs_for(self, name: str) -> Optional[List[object]]:
-        """Per-trial ADC instances for one layer (``None`` when ideal).
-
-        Each trial needs its own converter — the perturbed LUT bound and the
-        accumulated statistics are trial-specific — but the transfer-LUT
-        cache is shared across the siblings: LUT content is a pure function
-        of (config, max_value), so trials re-use each other's tabulations.
-        """
-        if name not in self._trial_adcs:
-            config = self._adc_configs.get(name)
-            if config is None:
-                self._trial_adcs[name] = None
-            else:
-                shared_cache: Dict[int, object] = {}
-                adcs = []
-                for _ in self._trial_stacks:
-                    adc = build_adc(config)
-                    if hasattr(adc, "transfer_lut"):
-                        adc._lut_cache = shared_cache
-                    adcs.append(adc)
-                self._trial_adcs[name] = adcs
-        return self._trial_adcs[name]
-
-    def _trial_stats_for(
-        self, trial: int, name: str, kind: str, mapped: MappedMVMLayer
-    ) -> LayerSimStats:
-        stats = self.trial_layer_stats[trial].get(name)
-        if stats is None:
-            footprint = mapped.footprint()
-            stats = self.trial_layer_stats[trial][name] = LayerSimStats(
-                name=name,
-                kind=kind,
-                crossbar_pairs=footprint.num_crossbar_pairs,
-                conversions_per_mvm=footprint.conversions_per_mvm,
-            )
-        return stats
-
-    def _execute_trials(self, name: str, kind: str, x_rows: np.ndarray) -> np.ndarray:
-        """Batched Monte Carlo execution of one layer.
-
-        ``x_rows`` is the trial-major tiling of the solo rows: rows
-        ``[t·R, (t+1)·R)`` are what a solo run of trial ``t`` would see.
-        The layer iterates the *solo* chunk grid — chunk indices key the
-        noise draws, so the grid must match the per-trial oracle exactly —
-        and advances every trial's chunk counter in lockstep.  Within a
-        logical chunk, trials are processed in sub-groups sized by the
-        trial-aware :func:`throughput_chunk_size` so the kernel's
-        ``(trials, cycles · chunk, columns)`` scratch stays within the solo
-        memory budget.  Per-trial outputs, operation counts and region
-        statistics are bit-identical to ``trials`` solo executions.
-        """
-        lq = self.quantized.layer(name)
-        if lq.input_params.signed:
-            raise NotImplementedError(
-                f"layer '{name}' has signed inputs; the differential crossbar "
-                "mapping implemented here expects non-negative MVM inputs "
-                "(images or post-ReLU activations)"
-            )
-        mapped = self._mapped_layer(name, kind)
-        adcs = self._trial_adcs_for(name)
-        noise = self._trial_noise_for(name, mapped)
-        trials = noise.trials
-        rows = x_rows.shape[0]
-        if rows % trials:
-            raise ValueError(
-                f"trials-mode input rows ({rows}) are not divisible by the "
-                f"trial count ({trials})"
-            )
-        solo_rows = rows // trials
-
-        input_codes = lq.input_params.quantize(x_rows)
-        codes = input_codes.reshape(trials, solo_rows, mapped.in_features)
-        outputs = np.empty(
-            (trials, solo_rows, mapped.out_features), dtype=np.float64
-        )
-        total_columns = 2 * mapped.num_weight_planes * mapped.out_features
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            chunk_size = throughput_chunk_size(mapped.num_input_cycles, total_columns)
-        # Trial sub-grouping: how many trials one kernel invocation carries
-        # so that ``group · rows_per_chunk · cycles · columns`` stays within
-        # the trials-mode scratch allowance (the solo element budget times
-        # ``_TRIAL_SCRATCH_FACTOR`` — same heuristic as the trial-aware
-        # :func:`throughput_chunk_size`, inverted for the group dimension and
-        # without the logical-chunk clamps).  Sized on the *actual* chunk
-        # rows (a small layer execution never fills ``chunk_size``), so small
-        # batches keep the whole trial group in one kernel call.
-        rows_per_chunk = min(chunk_size, solo_rows)
-        per_row = max(1, mapped.num_input_cycles * total_columns)
-        budget_rows = max(1, (_TRIAL_SCRATCH_FACTOR * _CHUNK_ELEMENT_BUDGET) // per_row)
-        group = max(1, min(trials, budget_rows // max(1, rows_per_chunk)))
-        # The sliced group states are cached per (layer, group size): the
-        # kernel's per-run conversion setup (stacked noise state, combined
-        # trial LUTs) is identity-keyed on these objects, so they must stay
-        # stable across forward batches for the setup to amortize.
-        group_noise = self._group_noise.get((name, group))
-        if group_noise is None:
-            group_noise = [
-                TrialNoiseStates(noise.states[g : g + group])
-                for g in range(0, trials, group)
-            ]
-            self._group_noise[(name, group)] = group_noise
-
-        stats = [self._trial_stats_for(t, name, kind, mapped) for t in range(trials)]
-        prev_regions = [
-            self._region_counters(adc) for adc in (adcs or [None] * trials)
-        ]
-        conversions_per_mvm = mapped.footprint().conversions_per_mvm
-        try:
-            for start in range(0, solo_rows, chunk_size):
-                stop = min(start + chunk_size, solo_rows)
-                noise.next_chunk()
-                chunk = codes[:, start:stop]
-                for index, g in enumerate(range(0, trials, group)):
-                    g_stop = min(g + group, trials)
-                    merged, ops = mapped.matmul_trials(
-                        chunk[g:g_stop],
-                        None if adcs is None else adcs[g:g_stop],
-                        group_noise[index],
-                        engine=self.engine,
-                    )
-                    outputs[g:g_stop, start:stop] = merged
-                    for offset, t in enumerate(range(g, g_stop)):
-                        stats[t].mvm_count += stop - start
-                        stats[t].conversions += (stop - start) * conversions_per_mvm
-                        stats[t].operations += int(ops[offset])
-        finally:
-            mapped.release_scratch()
-        for t in range(trials):
-            adc = None if adcs is None else adcs[t]
-            new_r1, new_r2 = self._region_counters(adc)
-            stats[t].in_r1 += new_r1 - prev_regions[t][0]
-            stats[t].in_r2 += new_r2 - prev_regions[t][1]
-
-        return outputs.reshape(rows, mapped.out_features) * lq.output_scale
-
-    # ------------------------------------------------------------------ #
     # core execution
     # ------------------------------------------------------------------ #
     def _execute(self, name: str, kind: str, x_rows: np.ndarray) -> np.ndarray:
         """Run ``x_rows`` (MVM input vectors, one per row) through the datapath."""
-        if self._trial_stacks is not None:
-            return self._execute_trials(name, kind, x_rows)
         lq = self.quantized.layer(name)
         if lq.input_params.signed:
             raise NotImplementedError(
@@ -508,13 +309,8 @@ class PimBackend:
     def reset_stats(self) -> None:
         """Clear all accumulated per-layer statistics."""
         self.layer_stats.clear()
-        for stats in self.trial_layer_stats:
-            stats.clear()
         for adc in self._adcs.values():
             if adc is not None:
-                adc.reset_stats()
-        for adcs in self._trial_adcs.values():
-            for adc in adcs or ():
                 adc.reset_stats()
 
     def mapping_footprints(self) -> Dict[str, object]:

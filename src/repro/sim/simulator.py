@@ -18,7 +18,7 @@ degradation statistics.  Trials are exactly reproducible under a fixed seed.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.adc.config import AdcConfig
 from repro.crossbar.mapping import DEFAULT_TOPOLOGY, CrossbarTopology
 from repro.nn.metrics import top1_accuracy
 from repro.nonideal.models import LegacyNoiseAdapter
-from repro.nonideal.stack import NonIdealityStack, as_stack
+from repro.nonideal.stack import as_stack
 from repro.quantization.ptq import QuantizedModel, find_mvm_layers
 from repro.sim.capture import DistributionCollector
 from repro.sim.fidelity import NoNoise
@@ -153,79 +153,6 @@ class PimSimulator:
         """
         return self._run_backend(images, labels, adc_configs, batch_size, None, noise)
 
-    def monte_carlo_trial_results(
-        self,
-        images: np.ndarray,
-        labels: Optional[np.ndarray],
-        stacks: Sequence[NonIdealityStack],
-        adc_configs: Optional[Dict[str, AdcConfig]] = None,
-        batch_size: int = 16,
-    ) -> List[SimulationResult]:
-        """Evaluate several noise-stack replicas in one batched execution.
-
-        ``stacks[t]`` plays the role of one Monte Carlo trial's reseeded
-        stack; all trials run through a single trials-mode
-        :class:`~repro.sim.pim_layer.PimBackend`, which executes every
-        fused-kernel invocation once for the whole group instead of once per
-        trial.  Each forward batch is tiled trial-major (``trials ×
-        batch``), so the per-trial rows traverse exactly the solo chunk grid
-        — the returned results are **bit-identical** (logits, accuracies,
-        per-layer statistics) to ``len(stacks)`` separate
-        :meth:`evaluate` calls under the same stacks.
-        """
-        check_in_range(check_integer(batch_size, "batch_size"), "batch_size", low=1)
-        stacks = list(stacks)
-        if not stacks:
-            raise ValueError("monte_carlo_trial_results needs at least one stack")
-        trials = len(stacks)
-        model = self.quantized.model
-        backend = PimBackend(
-            self.quantized,
-            topology=self.topology,
-            adc_configs=adc_configs,
-            chunk_size=self.chunk_size,
-            engine=self.engine,
-            trial_stacks=stacks,
-        )
-        mvm_layers = find_mvm_layers(model)
-        model.eval()
-        for _, layer in mvm_layers:
-            layer.compute_backend = backend
-        trial_logits: List[List[np.ndarray]] = [[] for _ in range(trials)]
-        try:
-            for start in range(0, images.shape[0], batch_size):
-                batch = images[start : start + batch_size]
-                tiled = np.concatenate([batch] * trials, axis=0)
-                logits = model(tiled)
-                rows = batch.shape[0]
-                for t in range(trials):
-                    trial_logits[t].append(logits[t * rows : (t + 1) * rows])
-        finally:
-            for _, layer in mvm_layers:
-                layer.compute_backend = None
-
-        labels_arr = None if labels is None else np.asarray(labels)
-        results = []
-        for t in range(trials):
-            logits = np.concatenate(trial_logits[t], axis=0)
-            accuracy = (
-                top1_accuracy(logits, labels) if labels is not None else float("nan")
-            )
-            results.append(
-                SimulationResult(
-                    accuracy=accuracy,
-                    num_images=int(images.shape[0]),
-                    layer_stats={
-                        k: copy.deepcopy(v)
-                        for k, v in backend.trial_layer_stats[t].items()
-                    },
-                    baseline_ops_per_conversion=self.baseline_ops_per_conversion,
-                    logits=logits,
-                    labels=labels_arr,
-                )
-            )
-        return results
-
     def run_monte_carlo(
         self,
         images: np.ndarray,
@@ -237,7 +164,6 @@ class PimSimulator:
         seed: int = 0,
         confidence: float = 0.95,
         clean: Optional[SimulationResult] = None,
-        trial_batch: int = 1,
     ) -> MonteCarloResult:
         """Multi-seed robustness trials under a device non-ideality stack.
 
@@ -246,8 +172,9 @@ class PimSimulator:
         derived from ``(stack seed, seed, trial)`` — every trial therefore
         sees an independent device (fresh variation factors, fault maps and
         read noise) while the whole experiment reproduces exactly under the
-        same seeds.  Each trial runs batched over the configured engine (the
-        fast engine by default) with the backend's throughput chunking.
+        same seeds.  Trials run one at a time, each an ordinary
+        :meth:`evaluate` over the configured engine (the fast engine by
+        default) with its throughput chunking.
 
         Sweeps that call this repeatedly with the same images and
         ``adc_configs`` can pass the deterministic clean run once via
@@ -258,13 +185,6 @@ class PimSimulator:
         bit-exact, so flip rates and per-layer degradation match the
         in-process reference exactly.
 
-        ``trial_batch`` sets how many trials execute per kernel invocation:
-        ``1`` (default) runs the per-trial loop — the verification oracle —
-        while ``N > 1`` coalesces trials in groups of ``N`` through the
-        batched fused kernel (:meth:`monte_carlo_trial_results`).  Under the
-        numpy array backend every ``trial_batch`` produces bit-identical
-        results; it is purely a throughput knob.
-
         Returns a :class:`~repro.sim.stats.MonteCarloResult` with the trial
         accuracies, their mean/std and normal-approximation confidence
         interval, per-trial prediction flip rates against the clean run, and
@@ -272,9 +192,6 @@ class PimSimulator:
         counters.
         """
         check_in_range(check_integer(trials, "trials"), "trials", low=1)
-        check_in_range(
-            check_integer(trial_batch, "trial_batch"), "trial_batch", low=1
-        )
         check_in_range(float(confidence), "confidence", low=0.0, high=1.0, inclusive=False)
         if isinstance(noise, NoNoise):
             noise = None
@@ -290,54 +207,19 @@ class PimSimulator:
             )
 
         clean = self._clean_reference(clean, images, labels, adc_configs, batch_size)
-
-        trial_results: List[SimulationResult] = []
-        for group_start in range(0, trials, trial_batch):
-            group = range(group_start, min(group_start + trial_batch, trials))
-            group_stacks = [stack.derive_trial(seed, trial) for trial in group]
-            if trial_batch == 1:
-                # The per-trial loop: the oracle the batched path is verified
-                # against, byte for byte.
-                trial_results.append(
-                    self.evaluate(
-                        images,
-                        labels,
-                        adc_configs,
-                        batch_size=batch_size,
-                        noise=group_stacks[0],
-                    )
-                )
-            else:
-                trial_results.extend(
-                    self.monte_carlo_trial_results(
-                        images, labels, group_stacks, adc_configs, batch_size
-                    )
-                )
-        return self.assemble_monte_carlo(
-            clean, trial_results, seed=seed, confidence=confidence, stack=stack
-        )
-
-    def assemble_monte_carlo(
-        self,
-        clean: SimulationResult,
-        trial_results: Sequence[SimulationResult],
-        seed: int,
-        confidence: float,
-        stack,
-    ) -> MonteCarloResult:
-        """Aggregate per-trial results into a :class:`MonteCarloResult`.
-
-        Factored out of :meth:`run_monte_carlo` so callers that obtain the
-        per-trial :class:`SimulationResult` list elsewhere — in particular
-        the experiment runner's cross-job trial coalescer — assemble exactly
-        the same payload as an in-process Monte Carlo run.
-        """
-        trials = len(trial_results)
         clean_predictions = np.argmax(clean.logits, axis=1)
+
         accuracies = np.empty(trials, dtype=np.float64)
         flip_rates = np.empty(trials, dtype=np.float64)
         trial_layer_stats: Dict[str, list] = {name: [] for name in clean.layer_stats}
-        for trial, result in enumerate(trial_results):
+        for trial in range(trials):
+            result = self.evaluate(
+                images,
+                labels,
+                adc_configs,
+                batch_size=batch_size,
+                noise=stack.derive_trial(seed, trial),
+            )
             accuracies[trial] = result.accuracy
             predictions = np.argmax(result.logits, axis=1)
             flip_rates[trial] = float(np.mean(predictions != clean_predictions))

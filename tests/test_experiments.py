@@ -333,73 +333,6 @@ def reference_run_store_root(reference_run) -> str:
     return reference_run._store_root  # attached by the fixture
 
 
-class TestMonteCarloCoalescing:
-    """The serial executor's cross-job trial coalescer (trial_batch > 1)."""
-
-    def artifact_bytes(self, root) -> dict:
-        import hashlib
-        from pathlib import Path
-
-        digests = {}
-        for path in sorted(Path(root).rglob("*")):
-            if not path.is_file():
-                continue
-            rel = path.relative_to(root)
-            # meta sidecars and telemetry record *how* results were
-            # produced (durations, worker, backend, trial_batch) — by
-            # design outside the byte-identity contract.
-            if rel.parts[0] in ("meta", "telemetry") or rel.name == ".lock":
-                continue
-            digests[str(rel)] = hashlib.sha256(path.read_bytes()).hexdigest()
-        return digests
-
-    def test_coalesced_store_is_byte_identical(
-        self, reference_run, weights_cache, tmp_path
-    ):
-        """Sibling per-seed MC jobs coalesced through one batched execution
-        write byte-identical artifacts to the per-job reference run."""
-        runner_module.clear_runner_memos()
-        root = tmp_path / "store-coalesced"
-        run = run_sweep(
-            tiny_sweep(), ResultStore(root), weights_cache_dir=weights_cache,
-            trial_batch=3,
-        )
-        assert run.stats.computed == run.stats.total
-        assert record_bytes(run) == record_bytes(reference_run)
-        assert self.artifact_bytes(root) == self.artifact_bytes(
-            reference_run_store_root(reference_run)
-        )
-        # Execution metadata records the coalescing out-of-band.
-        store = ResultStore(root)
-        mc_keys = [
-            job_key(job) for job in tiny_sweep().expand()
-            if job.kind == "monte_carlo"
-        ]
-        assert len(mc_keys) == 2  # the sigma=0.5 scenario's two seeds
-        for key in mc_keys:
-            meta = json.loads(store.meta_path(key).read_text())
-            assert meta["backend"] == "numpy"
-            assert meta["trial_batch"] == 3
-            assert meta["coalesced"] == 2
-
-    def test_group_signature_selects_only_seed_siblings(self):
-        from repro.experiments.runner import mc_group_signature
-
-        jobs = [j for j in tiny_sweep().expand() if j.kind == "monte_carlo"]
-        assert len({mc_group_signature(j) for j in jobs}) == 1
-        different_trials = dataclasses.replace(jobs[0], trials=jobs[0].trials + 1)
-        assert mc_group_signature(different_trials) != mc_group_signature(jobs[0])
-        assert mc_group_signature(jobs[0].clean_job()) is None
-
-    def test_execute_mc_group_rejects_mixed_jobs(self, tmp_path):
-        from repro.experiments.runner import execute_mc_group
-
-        jobs = [j for j in tiny_sweep().expand() if j.kind == "monte_carlo"]
-        mixed = [jobs[0], dataclasses.replace(jobs[1], trials=jobs[1].trials + 1)]
-        with pytest.raises(ValueError, match="differing only"):
-            execute_mc_group(mixed, ResultStore(tmp_path / "s"), trial_batch=2)
-
-
 # --------------------------------------------------------------------- #
 # Figure-pipeline job kinds: hashing and sibling sharing
 # --------------------------------------------------------------------- #

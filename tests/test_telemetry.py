@@ -64,6 +64,7 @@ from repro.telemetry import (
     critical_path,
     find_baseline,
     find_stragglers,
+    history_record,
     load_events,
     load_history,
     load_run,
@@ -1073,6 +1074,36 @@ class TestCliHistoryRegress:
         append_history(path, {"run_id": "only", "sweep": "s", "elapsed_s": 1.0})
         assert cli_main(["trace", "regress", "--history", str(path)]) == 2
         capsys.readouterr()
+
+    def test_regress_compares_records_with_retired_execution_fields(
+        self, tmp_path, capsys
+    ):
+        """Records written before the array-backend and trial-batch options
+        were removed still carry those keys; ``trace regress`` reads them
+        and compares them with new records, which no longer have them."""
+        path = tmp_path / "history.jsonl"
+        append_history(path, {
+            "run_id": "old", "sweep": "s", "executor": "serial",
+            "backend": "numpy", "trial_batch": 1,
+            "recorded_at": "2026-08-01T00:00:00+00:00",
+            "elapsed_s": 10.0, "critical_path_s": 8.0,
+            "resources": {"peak_rss_kb": 100000.0},
+        })
+        new = history_record(
+            {"run_id": "new", "sweep": "s", "elapsed_s": 11.0,
+             "critical_path_s": 8.5, "resources": {"peak_rss_kb": 110000.0}},
+            executor="serial",
+        )
+        assert "backend" not in new and "trial_batch" not in new
+        append_history(path, new)
+        assert [r["run_id"] for r in load_history(path)] == ["old", "new"]
+        assert cli_main(["trace", "regress", "--history", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "baseline: old" in out and "latest:   new" in out
+        assert "no regression" in out
+        append_history(path, dict(new, run_id="slow", elapsed_s=100.0))
+        assert cli_main(["trace", "regress", "--history", str(path)]) == 5
+        assert "REGRESSION" in capsys.readouterr().out
 
     def test_regress_rejects_unknown_baseline(self, history_path, capsys):
         with pytest.raises(SystemExit, match="no history record matches"):
