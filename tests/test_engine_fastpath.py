@@ -18,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
-from repro.adc.lut import joint_level_table, marginal_counts
+from repro.adc.lut import gather_levels, joint_level_table, marginal_counts
 from repro.core import TRQParams
 from repro.crossbar import CrossbarTopology, MappedMVMLayer
 from repro.crossbar.mapping import cycle_group_size
@@ -233,6 +233,29 @@ class TestDigitPackedKernel:
         expected = sum(np.bincount(d, minlength=5) for d in digits)
         assert marginal_counts(hist, radix=5, group=3).tolist() == expected.tolist()
         assert marginal_counts(expected, radix=5, group=1).tolist() == expected.tolist()
+
+    def test_gather_levels_matches_take_and_full_length_bincount(self, rng):
+        table = np.array([0.0, 2.0, 3.0, 7.0, 11.0, 13.0])
+        values = rng.integers(0, 4, size=1000).astype(np.float32)  # top 2 unused
+        levels = np.empty(values.size)
+        counts = np.zeros(table.size, dtype=np.int64)
+        gather_levels(table, values, counts, levels, tile=96)
+        codes = values.astype(np.int64)
+        assert levels.tolist() == table[codes].tolist()
+        assert counts.tolist() == np.bincount(codes, minlength=table.size).tolist()
+
+    def test_gather_levels_without_histogram(self, rng):
+        table = np.arange(5, dtype=np.float64) * 3.0
+        values = rng.integers(0, 5, size=300)
+        levels = np.empty(values.size)
+        gather_levels(table, values, None, levels, tile=64)
+        assert levels.tolist() == table[values].tolist()
+
+    def test_gather_levels_rejects_values_beyond_the_table(self):
+        levels = np.empty(3)
+        counts = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="exceeds the LUT bound 3"):
+            gather_levels(np.arange(4.0), np.array([0, 2, 4]), counts, levels)
 
     def test_out_of_range_codes_rejected_before_packing(self):
         for bad in (-1, 256):

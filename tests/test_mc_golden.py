@@ -92,6 +92,20 @@ def harness():
     return quantized, configs, dataset.test.images[:4], dataset.test.labels[:4]
 
 
+@pytest.fixture(scope="module")
+def mc_results(harness):
+    """Memoised ``run_mc`` results, shared by the tests of this module."""
+    cache = {}
+
+    def get(recipe, engine, trials):
+        key = (recipe, engine, trials)
+        if key not in cache:
+            cache[key] = run_mc(harness, recipe, engine, trials)
+        return cache[key]
+
+    return get
+
+
 def mc_fingerprint(result) -> str:
     """Byte-level fingerprint of everything a MC artifact persists."""
     blob = json.dumps(
@@ -128,14 +142,49 @@ def test_every_registered_noise_model_is_pinned():
     assert sorted(GOLDEN) == sorted(NOISE_RECIPES)
 
 
+@pytest.mark.parametrize("trials", [3, 5])
 @pytest.mark.parametrize("recipe", sorted(NOISE_RECIPES))
 @pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_monte_carlo_matches_golden_digest(harness, recipe, engine):
-    digests = {
-        trials: mc_fingerprint(run_mc(harness, recipe, engine, trials))
-        for trials in (3, 5)
-    }
-    assert digests == GOLDEN[recipe]
+def test_monte_carlo_matches_golden_digest(mc_results, recipe, engine, trials):
+    assert mc_fingerprint(mc_results(recipe, engine, trials)) == GOLDEN[recipe][trials]
+
+
+@pytest.mark.parametrize("recipe", sorted(NOISE_RECIPES))
+def test_trials_are_independent_of_the_trial_count(mc_results, recipe):
+    """Trial ``t`` draws its device from ``(stack seed, seed, t)`` alone, so
+    a longer run only appends trials: the first three of a five-trial run
+    are the three-trial run."""
+    short = mc_results(recipe, "fast", 3)
+    long = mc_results(recipe, "fast", 5)
+    assert long.accuracies[:3].tolist() == short.accuracies.tolist()
+    assert long.flip_rates[:3].tolist() == short.flip_rates.tolist()
+
+
+def test_precomputed_clean_reference_matches_golden(harness):
+    quantized, configs, images, labels = harness
+    simulator = PimSimulator(quantized)
+    clean = simulator.evaluate(images, labels, adc_configs=configs, batch_size=4)
+    stack = NonIdealityStack(NOISE_RECIPES["gaussian"], seed=5)
+    result = simulator.run_monte_carlo(
+        images, labels, stack, adc_configs=configs, trials=3, batch_size=4, seed=3,
+        clean=clean,
+    )
+    assert mc_fingerprint(result) == GOLDEN["gaussian"][3]
+
+
+def test_repro_backend_environment_is_ignored(harness, monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "torch")
+    result = run_mc(harness, "gaussian", "fast", trials=3)
+    assert mc_fingerprint(result) == GOLDEN["gaussian"][3]
+
+
+def test_trial_batch_keyword_is_gone(harness):
+    quantized, configs, images, labels = harness
+    stack = NonIdealityStack(NOISE_RECIPES["gaussian"], seed=5)
+    with pytest.raises(TypeError):
+        PimSimulator(quantized).run_monte_carlo(
+            images, labels, stack, adc_configs=configs, trials=3, trial_batch=2
+        )
 
 
 def test_zero_trials_rejected(harness):

@@ -29,6 +29,7 @@ from repro.nonideal import (
 )
 from repro.nonideal.base import LayerNoiseContext
 from repro.sim.stats import MonteCarloResult
+from repro.utils.rng import new_rng
 
 
 def _state(stack, columns=32, segments=(16, 16), max_bitline=64, layer="layer"):
@@ -152,6 +153,20 @@ class TestKeyedSampling:
         assert not np.array_equal(base, state.perturb_block(block, segment=0, cycle=1))
         state.next_chunk()
         assert not np.array_equal(base, state.perturb_block(block, segment=0, cycle=0))
+
+    def test_read_noise_is_the_keyed_canonical_normal(self, rng):
+        """Per-read noise is ``new_rng(draw_key("read", chunk, segment,
+        cycle)).normal(0, sigma)``, clamped at zero — the documented keyed
+        stream every engine reproduces."""
+        block = _block(rng)
+        state = _state(NonIdealityStack([GaussianReadNoise(0.5)], seed=7))
+        state.next_chunk()
+        ctx = state._bound[0].ctx
+        noise = new_rng(ctx.draw_key("read", 1, 1, 2)).normal(0.0, 0.5, block.shape)
+        np.testing.assert_array_equal(
+            state.perturb_block(block, segment=1, cycle=2),
+            np.maximum(block + noise, 0.0),
+        )
 
     def test_static_models_are_fixed_across_reads(self, rng):
         """Programming variation and fault maps model one physical device:

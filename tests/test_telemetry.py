@@ -300,6 +300,17 @@ class TestMetaSidecar:
         assert list(store.keys()) == [key]  # meta/ never pollutes the root
         assert store.meta_path(key).parent.name == "meta"
 
+    def test_meta_records_no_retired_execution_fields(self, tmp_path, weights_cache):
+        job = tiny_mc_sweep().expand()[0]
+        store = ResultStore(tmp_path)
+        meta = store.load_meta(execute_job(job, store, weights_cache))
+        assert not {"backend", "trial_batch", "coalesced"} & set(meta)
+
+    @pytest.mark.parametrize("option", ["trial_batch", "backend"])
+    def test_run_sweep_has_no_retired_execution_options(self, option, tmp_path):
+        with pytest.raises(TypeError):
+            run_sweep(tiny_mc_sweep(), ResultStore(tmp_path), **{option: 1})
+
     def test_delete_drops_the_sidecar_too(self, tmp_path, weights_cache):
         job = tiny_mc_sweep().expand()[0]
         store = ResultStore(tmp_path)
@@ -584,6 +595,26 @@ class TestCliTelemetry:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert all(json.loads(l)["event"] == "job_finish" for l in lines)
+
+    def test_job_finish_events_carry_no_retired_execution_fields(
+        self, traced_store, capsys
+    ):
+        assert cli_main([
+            "trace", "show", "--store", str(traced_store["store"].root),
+            "--event", "job_finish",
+        ]) == 0
+        events = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert events
+        for event in events:
+            assert "backend" not in event and "trial_batch" not in event
+
+    @pytest.mark.parametrize("flag,value", [("--trial-batch", "4"), ("--backend", "numpy")])
+    def test_run_rejects_retired_execution_flags(self, traced_store, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", str(traced_store["spec_path"]),
+                      "--store", str(traced_store["store"].root), flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_trace_summary_without_telemetry_exits_with_hint(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="no telemetry recorded"):
