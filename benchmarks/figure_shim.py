@@ -61,8 +61,6 @@ def build_arg_parser(description: str) -> argparse.ArgumentParser:
     parser.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                         help="execution strategy (default: process pool iff "
                              "--jobs > 1)")
-    parser.add_argument("--shards", type=int, default=2, metavar="N",
-                        help="shard count of --executor sharded (default 2)")
     parser.add_argument("--force", action="store_true",
                         help="recompute jobs already in the store")
     parser.add_argument("--ascii", action="store_true",
@@ -97,7 +95,6 @@ def run_figure(experiment, args) -> "SweepRun":  # noqa: F821 - doc type
         progress=print,
         max_failures=args.max_failures,
         executor=getattr(args, "executor", None),
-        shards=getattr(args, "shards", 2),
     )
     print()
     print(run.record.to_table())

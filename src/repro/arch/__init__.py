@@ -43,7 +43,6 @@ __all__ = [
     "PowerModel",
     "WorkloadComparison",
     "breakdown_table",
-    "breakdown_table",
     "compare_configurations",
     "trace_layer_geometry",
 ]

@@ -1,8 +1,5 @@
-"""ReRAM crossbar substrate: cells, arrays, bit-slicing, mapping and merging."""
+"""ReRAM crossbar substrate: bit-slicing, mapping and merging."""
 
-from repro.crossbar.array import CrossbarArray
-from repro.crossbar.cell import DEFAULT_CELL_CONFIG, CellConfig, ReRAMCellModel
-from repro.crossbar.dac import DEFAULT_DAC_CONFIG, DacConfig, DacModel
 from repro.crossbar.mapping import (
     DEFAULT_TOPOLOGY,
     CrossbarTopology,
@@ -24,17 +21,10 @@ from repro.crossbar.slicing import (
 )
 
 __all__ = [
-    "CellConfig",
-    "CrossbarArray",
     "CrossbarTopology",
-    "DEFAULT_CELL_CONFIG",
-    "DEFAULT_DAC_CONFIG",
     "DEFAULT_TOPOLOGY",
-    "DacConfig",
-    "DacModel",
     "MappedMVMLayer",
     "MappingFootprint",
-    "ReRAMCellModel",
     "bit_slice",
     "input_cycle_factors",
     "num_slices",

@@ -25,7 +25,6 @@ from repro.experiments.executors import (
     RemoteExecutor,
     SerialExecutor,
     ShardJobFailed,
-    ShardedExecutor,
     Transport,
     load_shard_manifest,
     manifest_result_path,
@@ -94,7 +93,6 @@ __all__ = [
     "ScheduledJob",
     "SerialExecutor",
     "ShardJobFailed",
-    "ShardedExecutor",
     "StoreLock",
     "SweepRun",
     "SweepRunStats",

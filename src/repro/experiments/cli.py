@@ -6,7 +6,7 @@
     python -m repro.experiments show robustness-noise --smoke
     python -m repro.experiments run robustness-noise --smoke --jobs 2
     python -m repro.experiments run --preset fig6 --smoke --max-failures 1
-    python -m repro.experiments run --preset fig6 --executor sharded --shards 4
+    python -m repro.experiments run --preset fig6 --executor remote --workers 4
     python -m repro.experiments run path/to/sweep.json --force
 
     # Multi-machine sharding: partition once, run anywhere, merge at the end.
@@ -32,14 +32,13 @@ default and spelled out only for scripts that want to be explicit.  Use
 ``--force`` to discard the sweep's cached artifacts and recompute.
 
 ``--executor`` selects how pending jobs run: ``serial`` (in-process),
-``process`` (a worker pool of ``--jobs`` processes), ``sharded``
-(``--shards`` independent subprocesses per scheduler wave, driving the same
-manifests as the ``shard`` subcommand) or ``remote`` (manifests dispatched
-to ``--workers`` workers over a transport, each against a private synced
-store merged back on return, with dropped-shard retry and straggler
-re-dispatch — ``--force-redispatch`` forces a duplicate backup attempt per
-shard).  Omitted, it keeps the historical default: a process pool iff
-``--jobs`` > 1.
+``process`` (a worker pool of ``--jobs`` processes) or ``remote`` (each
+scheduler wave split into the same manifests as the ``shard`` subcommand,
+dispatched to ``--workers`` workers over a transport, each against a
+private synced store merged back on return, with dropped-shard retry and
+straggler re-dispatch — ``--force-redispatch``, valid only with ``remote``,
+forces a duplicate backup attempt per shard).  Omitted, it keeps the
+historical default: a process pool iff ``--jobs`` > 1.
 
 Failures: a job that raises is recorded (spec + traceback) in the store's
 failure log and surfaced by ``show`` together with each entry's age;
@@ -278,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                      help="execution strategy (default: process pool iff "
                           "--jobs > 1, else serial)")
-    run.add_argument("--shards", type=int, default=2, metavar="N",
-                     help="shard count of --executor sharded (default 2)")
     run.add_argument("--workers", type=int, default=2, metavar="N",
                      help="dispatch fan-out of --executor remote (default 2)")
     run.add_argument("--force-redispatch", action="store_true",
@@ -709,10 +706,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             inject_failures=args.inject_failure or (),
             executor=(
                 RemoteExecutor(workers=args.workers, force_redispatch=True)
-                if args.executor == "remote" and args.force_redispatch
+                if args.force_redispatch  # main() requires --executor remote
                 else args.executor
             ),
-            shards=args.shards,
             workers=args.workers,
             trace=trace_arg,
             history=history,
@@ -1235,7 +1231,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (
+        args.command == "run"
+        and args.force_redispatch
+        and args.executor != "remote"
+    ):
+        parser.error("--force-redispatch requires --executor remote")
     set_verbosity(verbosity_to_level(
         getattr(args, "verbose", 0) or 0, getattr(args, "quiet", False)
     ))

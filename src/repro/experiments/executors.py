@@ -1,7 +1,7 @@
 """The executor layer: pluggable strategies for running scheduled waves.
 
 The scheduler (:mod:`repro.experiments.scheduler`) decides *what* runs and
-in *which order*; an :class:`Executor` decides *where*.  Four built-ins:
+in *which order*; an :class:`Executor` decides *where*.  Three built-ins:
 
 * :class:`SerialExecutor` — in-process, one job at a time.  The per-process
   workload/artifact memos make consecutive jobs cheap; this is the
@@ -9,28 +9,26 @@ in *which order*; an :class:`Executor` decides *where*.  Four built-ins:
 * :class:`ProcessPoolExecutor` — a ``concurrent.futures`` process pool.
   Derived-seed determinism makes worker results bit-identical to in-process
   ones; the store's atomic writes make concurrent completion safe.
-* :class:`ShardedExecutor` — partitions each wave round-robin into N
-  *shard manifests* (JSON job lists) and runs each as an independent
-  ``python -m repro.experiments shard run`` subprocess against the same
-  content-addressed store.  The same manifest format drives the explicit
-  multi-machine flow (``shard emit`` → N × ``shard run`` → ``shard
-  merge``): because artifacts are content-addressed and writes are atomic,
-  shards never coordinate — at worst two shards compute the same shared
-  sibling and store identical bytes.
-* :class:`RemoteExecutor` — the cluster-shaped strategy: shard manifests
-  dispatched over a pluggable :class:`Transport`
-  (:class:`LocalSubprocessTransport` today, SSH later) to workers with
-  *private* per-task stores, synced before dispatch and merged on return
-  (:meth:`ResultStore.merge_from`), with dropped-shard retry and two-gate
-  straggler re-dispatch — duplicate execution is harmless by construction
-  (content addressing + the store's cross-process locking).
+* :class:`RemoteExecutor` — the cluster-shaped strategy: each wave is
+  partitioned round-robin into N *shard manifests* (JSON job lists), each
+  run as a ``python -m repro.experiments shard run`` command dispatched
+  over a pluggable :class:`Transport` (:class:`LocalSubprocessTransport`
+  today, SSH later) to a worker with a *private* per-task store, synced
+  before dispatch and merged on return (:meth:`ResultStore.merge_from`),
+  with dropped-shard retry and two-gate straggler re-dispatch — duplicate
+  execution is harmless by construction (content addressing + the store's
+  cross-process locking).
+
+The same manifest format drives the explicit multi-machine flow (``shard
+emit`` → N × ``shard run`` → ``shard merge``): because artifacts are
+content-addressed and writes are atomic, shards never coordinate — at
+worst two shards compute the same shared sibling and store identical bytes.
 
 Executors are context managers, and **cancellation lives here**: leaving
 the ``with`` block on an exception (Ctrl-C, first-failure abort,
 ``MaxFailuresExceeded``) is the one place pending work is torn down —
 ``shutdown(wait=False, cancel_futures=True)`` for the pool, terminated
-subprocesses for the shards.  The runner used to repeat that handling
-inline around every fan-out.
+shard handles for the remote executor.
 
 An executor's :meth:`~Executor.run_wave` receives mutually-independent
 :class:`~repro.experiments.scheduler.ScheduledJob` nodes (the scheduler
@@ -69,7 +67,7 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.executors")
 
-EXECUTOR_NAMES = ("serial", "process", "sharded", "remote")
+EXECUTOR_NAMES = ("serial", "process", "remote")
 
 #: Manifest schema marker (bump on incompatible manifest layout changes).
 SHARD_MANIFEST_FORMAT = "repro-shard-manifest/v1"
@@ -101,9 +99,9 @@ class ExecutionContext:
     subprocess uses to open its **own** stream in the same run directory.
     ``wave`` is maintained by :func:`repro.experiments.runner.execute_graph`
     as it walks the topology; ``wave_override`` pins it instead when this
-    context executes one wave of a *parent* graph (a ``ShardedExecutor``
-    child), so shard-local wave numbering never shadows the parent's and
-    wave lifecycle events are not emitted twice.
+    context executes one wave of a *parent* graph (a ``shard run`` child of
+    :class:`RemoteExecutor`), so shard-local wave numbering never shadows
+    the parent's and wave lifecycle events are not emitted twice.
     """
 
     store: ResultStore
@@ -229,7 +227,6 @@ class Executor:
 def resolve_executor(
     executor: Union[str, Executor, None] = None,
     jobs: int = 1,
-    shards: int = 2,
     workers: int = 2,
 ) -> Executor:
     """Resolve the ``run_sweep`` executor argument to an instance.
@@ -246,8 +243,6 @@ def resolve_executor(
         return SerialExecutor()
     if executor == "process":
         return ProcessPoolExecutor(max_workers=jobs)
-    if executor == "sharded":
-        return ShardedExecutor(shards=shards)
     if executor == "remote":
         return RemoteExecutor(workers=workers)
     raise ValueError(
@@ -360,11 +355,11 @@ class ProcessPoolExecutor(Executor):
 
 
 # --------------------------------------------------------------------- #
-# Shard manifests (shared by ShardedExecutor and the `shard` CLI)
+# Shard manifests (shared by RemoteExecutor and the `shard` CLI)
 # --------------------------------------------------------------------- #
 def _round_robin(items: Sequence, shards: int) -> List[List]:
     """The one partition policy, shared by ``plan_shards`` (the
-    emit/run/merge flow) and ``ShardedExecutor`` (per-wave groups), so the
+    emit/run/merge flow) and ``RemoteExecutor`` (per-wave groups), so the
     two sharding paths can never balance work differently."""
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -491,12 +486,11 @@ def shard_status_outcome(
 ) -> Optional[BaseException]:
     """Map one ``shard run`` status row to the runner-facing outcome.
 
-    The single translation both shard-dispatching executors
-    (:class:`ShardedExecutor` and :class:`RemoteExecutor`) apply, so a
-    status can never mean two different things depending on where the
-    shard ran.  ``None`` status means the shard produced no row for this
-    node (the subprocess died or the transport lost it): that is a
-    *not-logged* failure — the shard never got to persist a traceback.
+    The single translation of a shard's status rows, so a status can
+    never mean two different things depending on where the shard ran.
+    ``None`` status means the shard produced no row for this node (the
+    subprocess died or the transport lost it): that is a *not-logged*
+    failure — the shard never got to persist a traceback.
     """
     if status is None:
         detail = (stderr or b"").decode("utf-8", "replace").strip()
@@ -625,7 +619,7 @@ def run_shard_manifest(
 
 
 # --------------------------------------------------------------------- #
-# Sharded executor
+# Shard subprocesses
 # --------------------------------------------------------------------- #
 def _shard_subprocess_env() -> Dict[str, str]:
     """The child environment: the running ``repro`` package on PYTHONPATH."""
@@ -636,133 +630,6 @@ def _shard_subprocess_env() -> Dict[str, str]:
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
     return env
-
-
-class ShardedExecutor(Executor):
-    """Run each wave as N independent ``shard run`` subprocesses.
-
-    Every wave is partitioned round-robin into ``shards`` manifests; each
-    subprocess executes its manifest serially against the same store and
-    writes a result file of per-job statuses.  This is the in-process face
-    of the multi-machine flow — the manifests it writes are exactly what
-    ``shard emit`` produces, just one wave at a time.
-
-    Subprocess teardown on an exceptional exit (Ctrl-C, budget exceeded)
-    happens in ``__exit__`` — the same centralised cancellation contract as
-    the process pool.
-    """
-
-    name = "sharded"
-    needs_prewarm = True
-
-    def __init__(self, shards: int = 2) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        self._procs: List[subprocess.Popen] = []
-        self._wave = 0
-
-    def __enter__(self) -> "ShardedExecutor":
-        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-shards-")
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._emit_abort(exc_type, exc)
-        procs, self._procs = self._procs, []
-        if exc_type is not None:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                    proc.kill()
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
-            self._tmpdir = None
-        return False
-
-    def run_wave(
-        self, wave: Sequence[ScheduledJob], context: ExecutionContext
-    ) -> Iterator[WaveOutcome]:
-        if self._tmpdir is None:
-            raise RuntimeError("ShardedExecutor used outside its context")
-        self._wave += 1
-        groups = [group for group in _round_robin(list(wave), self.shards) if group]
-        launches: List[
-            Tuple[subprocess.Popen, Path, Path, List[ScheduledJob]]
-        ] = []
-        env = _shard_subprocess_env()
-        for shard_index, group in enumerate(groups):
-            manifest = shard_manifest_dict(
-                [
-                    (node.index, node.job, context.should_inject(node))
-                    for node in group
-                ],
-                shard_index,
-                len(groups),
-                salt=context.salt,
-                telemetry=(
-                    {
-                        "dir": context.trace_dir,
-                        "run_id": context.trace_run_id,
-                        "wave": context.wave,
-                    }
-                    if context.trace_dir is not None
-                    else None
-                ),
-            )
-            path = Path(self._tmpdir.name) / (
-                f"wave{self._wave}-shard{shard_index}of{len(groups)}.json"
-            )
-            path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-            stderr_path = path.with_name(f"{path.stem}.stderr")
-            # Always pin --cache-dir: the child CLI's default is a path
-            # relative to its cwd (benchmarks/.cache), which a library
-            # caller with no cache configured must not inherit — a
-            # throwaway cache inside the executor's tempdir keeps the
-            # subprocesses hermetic (weights are deterministic either way).
-            cache_dir = context.weights_cache_dir or str(
-                Path(self._tmpdir.name) / "weights-cache"
-            )
-            command = [
-                sys.executable, "-m", "repro.experiments", "shard", "run",
-                str(path), "--store", str(context.store.root),
-                "--cache-dir", cache_dir,
-            ]
-            # stderr goes to a file, not a pipe: a verbose shard must never
-            # stall on pipe backpressure while the parent drains its
-            # siblings in launch order.
-            with open(stderr_path, "wb") as stderr_handle:
-                proc = subprocess.Popen(
-                    command, env=env,
-                    stdout=subprocess.DEVNULL, stderr=stderr_handle,
-                )
-            launches.append((proc, path, stderr_path, group))
-            # Registered as launched (not after the loop): an interrupt or a
-            # failed later Popen must let __exit__ terminate the live ones.
-            self._procs.append(proc)
-        for proc, path, stderr_path, group in launches:
-            proc.wait()
-            stderr = stderr_path.read_bytes() if stderr_path.exists() else b""
-            result_path = manifest_result_path(path)
-            statuses: Dict[str, Dict[str, object]] = {}
-            if result_path.exists():
-                for status in json.loads(result_path.read_text()).get("statuses", ()):
-                    statuses[status["key"]] = status
-            elif proc.returncode != 0:
-                logger.warning(
-                    "shard subprocess exited %d without results: %s",
-                    proc.returncode,
-                    (stderr or b"").decode("utf-8", "replace").strip()[-500:],
-                )
-            for node in group:
-                yield node, shard_status_outcome(
-                    node, statuses.get(node.key), proc.returncode, stderr
-                )
-        self._procs = []
 
 
 # --------------------------------------------------------------------- #
@@ -1103,8 +970,11 @@ class RemoteExecutor(Executor):
         self._wave += 1
         groups = [group for group in _round_robin(list(wave), self.workers) if group]
         env = _shard_subprocess_env()
-        # Pin --cache-dir like ShardedExecutor: hermetic throwaway cache
-        # when the caller configured none (weights are deterministic).
+        # Always pin --cache-dir: the child CLI's default is a path relative
+        # to its cwd (benchmarks/.cache), which a library caller with no
+        # cache configured must not inherit — a throwaway cache inside the
+        # executor's tempdir keeps the shards hermetic (weights are
+        # deterministic either way).
         cache_dir = context.weights_cache_dir or str(
             Path(self._tmpdir.name) / "weights-cache"
         )

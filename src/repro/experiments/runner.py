@@ -7,7 +7,7 @@
    (:meth:`JobSpec.dependencies`) become a deduplicated, content-addressed
    job graph, scheduled as topological waves of arbitrary depth.
 2. **Executor layer** (:mod:`repro.experiments.executors`) — a pluggable
-   strategy (``serial`` / ``process`` / ``sharded``) runs each wave;
+   strategy (``serial`` / ``process`` / ``remote``) runs each wave;
    cancellation on abort lives in the executor, not here.
 3. **Failure policy** (this module) — failed jobs are logged to the
    store's :class:`~repro.experiments.store.FailureLog`; transitive
@@ -667,7 +667,7 @@ def prewarm_workloads(
 ) -> None:
     """Train (and disk-cache) every unique workload of the jobs, serially.
 
-    Called before a parallel/sharded run so worker processes load the
+    Called before a parallel/remote run so worker processes load the
     trained weights from the cache instead of each re-training them.
     Weights are deterministic either way; this is purely a wall-clock
     optimisation.  ``run_sweep`` passes only the scheduled graph's jobs
@@ -720,7 +720,7 @@ def execute_graph(
     executor.bind(context)
     with executor:
         for number, wave in enumerate(waves, start=1):
-            # A sharded child runs one wave of its *parent's* graph: keep
+            # A shard child runs one wave of its *parent's* graph: keep
             # the parent's wave number on every event and leave the wave
             # lifecycle events to the parent.
             context.wave = (
@@ -867,7 +867,6 @@ def run_sweep(
     max_failures: Optional[int] = None,
     inject_failures: Collection[int] = (),
     executor: Union[str, Executor, None] = None,
-    shards: int = 2,
     workers: int = 2,
     trace: Union[bool, str, Tracer, None] = None,
     history: Union[str, Path, None] = None,
@@ -903,12 +902,10 @@ def run_sweep(
         end to end.  Injected failures follow the same logging/tolerance
         rules as real ones.
     executor:
-        ``"serial"``, ``"process"``, ``"sharded"``, ``"remote"``, an
+        ``"serial"``, ``"process"``, ``"remote"``, an
         :class:`~repro.experiments.executors.Executor` instance, or
         ``None`` for the historical default (process pool iff
         ``jobs > 1``).
-    shards:
-        Shard count of the ``sharded`` executor (ignored otherwise).
     workers:
         Dispatch fan-out of the ``remote`` executor (ignored otherwise).
     trace:
@@ -929,7 +926,7 @@ def run_sweep(
 
     The returned :class:`SweepRun` carries rows in expansion order; the
     aggregate is identical whether the sweep ran serially, in parallel,
-    sharded, or across several interrupted+resumed invocations, because
+    remotely, or across several interrupted+resumed invocations, because
     rows are read back from the content-addressed artifacts.
     """
     if not isinstance(store, ResultStore):
@@ -939,7 +936,7 @@ def run_sweep(
     # Writers killed mid-stage (SIGKILL, lost workers) leave dead temp
     # files behind; sweep them before scheduling so they never accumulate.
     store.sweep_stale_tmps()
-    exec_instance = resolve_executor(executor, jobs=jobs, shards=shards, workers=workers)
+    exec_instance = resolve_executor(executor, jobs=jobs, workers=workers)
     tracer = resolve_tracer(trace, store.root)
     telemetry_dir: Optional[str] = None
     if tracer.enabled and getattr(tracer, "directory", None) is not None:
@@ -976,7 +973,6 @@ def run_sweep(
                 sweep=sweep.name,
                 executor=exec_instance.name,
                 jobs=jobs,
-                shards=shards if exec_instance.name == "sharded" else None,
                 salt=salt if salt is not None else code_version_salt(),
                 total=stats.total,
             )

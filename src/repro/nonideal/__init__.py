@@ -25,7 +25,6 @@ from repro.nonideal.models import (
     ConductanceVariation,
     GaussianReadNoise,
     IRDropAttenuation,
-    LegacyNoiseAdapter,
     RetentionDrift,
     StuckAtFaults,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "IRDropAttenuation",
     "LayerNoiseContext",
     "LayerNoiseState",
-    "LegacyNoiseAdapter",
     "NonIdealityModel",
     "NonIdealityStack",
     "RetentionDrift",

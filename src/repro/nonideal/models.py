@@ -21,7 +21,6 @@ conversion path, still bit-identical between them.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -74,8 +73,7 @@ class GaussianReadNoise(NonIdealityModel):
 
     ``sigma`` is the standard deviation in full-precision level units
     (LSBs); with ``relative=True`` it is instead a fraction of the layer's
-    largest bit-line value, matching the relative convention of
-    :class:`repro.crossbar.cell.CellConfig.read_noise_sigma`.
+    largest bit-line value.
     """
 
     name = "gaussian_read_noise"
@@ -314,49 +312,3 @@ class IRDropAttenuation(NonIdealityModel):
         if self.alpha == 0.0:
             return _IdentityBound(ctx)
         return _BoundIRDrop(ctx, self.alpha)
-
-
-# --------------------------------------------------------------------- #
-# adapter for pre-subsystem noise objects
-# --------------------------------------------------------------------- #
-class _BoundLegacy(BoundModel):
-    def __init__(self, ctx: LayerNoiseContext, legacy) -> None:
-        super().__init__(ctx)
-        self._legacy = legacy
-
-    def perturb(self, values, segment, cycle, chunk):
-        return np.asarray(self._legacy.apply(values), dtype=np.float64)
-
-
-class LegacyNoiseAdapter(NonIdealityModel):
-    """Wraps an old-protocol object (``apply(values)``) as a stack model.
-
-    The wrapped object owns a mutable RNG, so the two engines — which visit
-    blocks in different orders — consume its stream differently: noisy runs
-    agree only *statistically*, exactly the defect the keyed models above
-    eliminate.  The adapter exists so user code holding a custom legacy
-    model keeps running; everything in-tree uses the keyed models.
-    """
-
-    name = "legacy_adapter"
-
-    def __init__(self, legacy) -> None:
-        if not hasattr(legacy, "apply"):
-            raise TypeError(
-                f"{type(legacy).__name__} does not implement the legacy "
-                "NoiseModel protocol (no .apply method)"
-            )
-        warnings.warn(
-            "wrapping a legacy NoiseModel via its shared RNG stream; fast and "
-            "reference engines will agree only statistically under this model. "
-            "Port it to repro.nonideal.NonIdealityModel for bit-identical runs.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self.legacy = legacy
-
-    def params(self) -> Dict[str, object]:  # pragma: no cover - not serializable
-        raise TypeError("LegacyNoiseAdapter wraps a live object and has no spec")
-
-    def bind(self, ctx: LayerNoiseContext) -> BoundModel:
-        return _BoundLegacy(ctx, self.legacy)

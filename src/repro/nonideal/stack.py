@@ -21,7 +21,6 @@ chunk identically — stay bit-identical.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -142,29 +141,6 @@ class NonIdealityStack:
         )
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_cell_config(cls, cell_config, seed: int = 0) -> "NonIdealityStack":
-        """Build the stack equivalent of :class:`repro.crossbar.cell.CellConfig`.
-
-        ``programming_sigma`` maps to log-normal
-        :class:`~repro.nonideal.models.ConductanceVariation` and
-        ``read_noise_sigma`` to relative
-        :class:`~repro.nonideal.models.GaussianReadNoise` — the same
-        distributions :class:`~repro.crossbar.cell.ReRAMCellModel` draws,
-        but keyed so the datapath engines stay bit-identical.
-        """
-        from repro.nonideal.models import ConductanceVariation, GaussianReadNoise
-
-        models: List[NonIdealityModel] = []
-        if cell_config.programming_sigma > 0.0:
-            models.append(ConductanceVariation(sigma=cell_config.programming_sigma))
-        if cell_config.read_noise_sigma > 0.0:
-            models.append(
-                GaussianReadNoise(sigma=cell_config.read_noise_sigma, relative=True)
-            )
-        return cls(models, seed=seed)
-
-    # ------------------------------------------------------------------ #
     def bind_layer(
         self,
         layer: str,
@@ -210,61 +186,23 @@ class NonIdealityStack:
 
 
 def as_stack(noise, seed: Optional[int] = None) -> Optional[NonIdealityStack]:
-    """Normalise the many accepted ``noise=`` forms into a stack (or ``None``).
+    """Normalise the accepted ``noise=`` forms into a stack (or ``None``).
 
     Accepts ``None``, a :class:`NonIdealityStack`, a single
-    :class:`NonIdealityModel`, a sequence of models and/or registry spec
-    dicts, or a legacy object implementing the old ``apply(values)``
-    protocol (wrapped with a deprecation warning; see
-    :class:`~repro.nonideal.models.LegacyNoiseAdapter`).
+    :class:`NonIdealityModel`, or a sequence of models and/or registry spec
+    dicts.  ``seed`` overrides the stack's base seed (default 0).
     """
     if noise is None:
         return None
     if isinstance(noise, NonIdealityStack):
         return noise if seed is None else noise.reseeded(seed)
     if isinstance(noise, NonIdealityModel):
-        default = getattr(noise, "seed", None)
-        base = seed if seed is not None else (default if default is not None else 0)
-        return NonIdealityStack([noise], seed=int(base))
+        return NonIdealityStack([noise], seed=0 if seed is None else seed)
     if isinstance(noise, (list, tuple)):
         if not noise:
             return None
-        from repro.nonideal.models import LegacyNoiseAdapter
-
-        items = [
-            LegacyNoiseAdapter(item)
-            if not isinstance(item, (NonIdealityModel, dict)) and hasattr(item, "apply")
-            else item
-            for item in noise
-        ]
-        stack = NonIdealityStack(items, seed=0 if seed is None else seed)
-        if seed is None:
-            # Honour a seed carried by a legacy-shim model (same rule as the
-            # single-model form): the first one found becomes the base seed.
-            carried = [
-                int(s) for s in
-                (getattr(model, "seed", None) for model in stack.models)
-                if s is not None
-            ]
-            if carried:
-                stack = stack.reseeded(carried[0])
-                if len(set(carried)) > 1:
-                    warnings.warn(
-                        f"multiple per-model seeds {carried} in a noise list; "
-                        f"only the first ({carried[0]}) becomes the stack base "
-                        "seed — construct NonIdealityStack(models, seed=...) "
-                        "explicitly to control the stream",
-                        UserWarning,
-                        stacklevel=2,
-                    )
-        return stack
-    if hasattr(noise, "apply"):
-        from repro.nonideal.models import LegacyNoiseAdapter
-
-        return NonIdealityStack(
-            [LegacyNoiseAdapter(noise)], seed=0 if seed is None else seed
-        )
+        return NonIdealityStack(noise, seed=0 if seed is None else seed)
     raise TypeError(
         f"cannot interpret {type(noise).__name__!r} as a non-ideality model, "
-        "stack, spec list, or legacy NoiseModel"
+        "stack or spec list"
     )

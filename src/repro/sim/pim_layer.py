@@ -29,9 +29,7 @@ Both engines produce bit-identical outputs and identical A/D-operation and
 region statistics — including under device noise: non-ideality models from
 :mod:`repro.nonideal` draw every perturbation from counter-based keyed
 streams (per layer / chunk / segment / cycle), so the engines reconstruct
-identical noise despite traversing blocks in different orders.  Only legacy
-``apply``-protocol noise objects (wrapped with a deprecation warning) retain
-the old statistical-only agreement.
+identical noise despite traversing blocks in different orders.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from repro.nn.layers import Conv2d, Linear
 from repro.nonideal.stack import LayerNoiseState, NonIdealityStack, as_stack
 from repro.quantization.ptq import QuantizedModel, find_mvm_layers
 from repro.sim.capture import DistributionCollector
-from repro.sim.fidelity import NoNoise
 from repro.sim.stats import LayerSimStats
 from repro.utils.validation import check_in_range, check_integer
 
@@ -104,13 +101,11 @@ class PimBackend:
     noise:
         Optional device non-idealities applied to bit-line values before
         conversion: a :class:`repro.nonideal.NonIdealityStack`, a single
-        model, a list of models/spec dicts, or a legacy ``apply``-protocol
-        object (deprecated).
+        model or a list of models/spec dicts.
     engine:
         ``"fast"`` (fused kernel + LUT ADCs, default) or ``"reference"``
         (per-cycle/segment loop oracle).  Outputs and statistics are
-        bit-identical between the two, with or without noise (legacy noise
-        objects excepted; see the module docstring).
+        bit-identical between the two, with or without noise.
     """
 
     _ENGINES = ("fast", "reference")
@@ -134,8 +129,6 @@ class PimBackend:
         self.topology = topology
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         self.collector = collector
-        if isinstance(noise, NoNoise):
-            noise = None
         self.noise: Optional[NonIdealityStack] = as_stack(noise)
         self._adc_configs = dict(adc_configs) if adc_configs else {}
 

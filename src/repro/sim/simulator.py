@@ -25,11 +25,9 @@ import numpy as np
 from repro.adc.config import AdcConfig
 from repro.crossbar.mapping import DEFAULT_TOPOLOGY, CrossbarTopology
 from repro.nn.metrics import top1_accuracy
-from repro.nonideal.models import LegacyNoiseAdapter
 from repro.nonideal.stack import as_stack
 from repro.quantization.ptq import QuantizedModel, find_mvm_layers
 from repro.sim.capture import DistributionCollector
-from repro.sim.fidelity import NoNoise
 from repro.sim.pim_layer import PimBackend
 from repro.sim.stats import (
     LayerRobustnessStats,
@@ -61,8 +59,7 @@ class PimSimulator:
         integer-domain LUT ADCs, default) or ``"reference"`` (the
         per-(cycle, segment) loop kept as verification oracle).  The two are
         bit-identical in outputs and operation statistics, with or without a
-        :mod:`repro.nonideal` noise stack (legacy ``apply``-protocol noise
-        objects agree only statistically).
+        :mod:`repro.nonideal` noise stack.
     """
 
     def __init__(
@@ -148,8 +145,8 @@ class PimSimulator:
 
         ``adc_configs=None`` gives the ideal-conversion reference (no ADC
         quantization error, baseline operation counts).  ``noise`` accepts
-        anything :func:`repro.nonideal.as_stack` does: a stack, a model, a
-        list of models/spec dicts, or a legacy ``apply``-protocol object.
+        anything :func:`repro.nonideal.as_stack` does: a stack, a model or
+        a list of models/spec dicts.
         """
         return self._run_backend(images, labels, adc_configs, batch_size, None, noise)
 
@@ -193,18 +190,9 @@ class PimSimulator:
         """
         check_in_range(check_integer(trials, "trials"), "trials", low=1)
         check_in_range(float(confidence), "confidence", low=0.0, high=1.0, inclusive=False)
-        if isinstance(noise, NoNoise):
-            noise = None
         stack = as_stack(noise)
         if stack is None or not stack.models:
             raise ValueError("run_monte_carlo requires a non-empty noise stack")
-        if any(isinstance(model, LegacyNoiseAdapter) for model in stack.models):
-            raise TypeError(
-                "run_monte_carlo requires keyed repro.nonideal models: a legacy "
-                "apply-protocol noise object owns one mutable RNG stream, so its "
-                "trials would be neither independent nor reproducible under the "
-                "derived per-trial seeds"
-            )
 
         clean = self._clean_reference(clean, images, labels, adc_configs, batch_size)
         clean_predictions = np.argmax(clean.logits, axis=1)
@@ -247,7 +235,7 @@ class PimSimulator:
             flip_rates=flip_rates,
             clean_accuracy=clean.accuracy,
             layer_stats=layer_stats,
-            noise_specs=_safe_specs(stack),
+            noise_specs=stack.specs(),
             baseline_ops_per_conversion=self.baseline_ops_per_conversion,
         )
 
@@ -329,14 +317,6 @@ class PimSimulator:
             kind = lq.kind
             footprints[name] = backend._mapped_layer(name, kind).footprint()
         return footprints
-
-
-def _safe_specs(stack) -> Optional[list]:
-    """Registry specs of the stack, or ``None`` for unserializable models."""
-    try:
-        return stack.specs()
-    except TypeError:
-        return None
 
 
 __all__ = [

@@ -15,7 +15,7 @@ manifests).  The central object is :class:`TraceRun`:
   beat it without changing the jobs.
 * :func:`wave_stats` computes per-wave spans and utilization
   (``busy time / (streams × span)``) from the job intervals themselves, so
-  it works identically for serial, process-pool, sharded and bare
+  it works identically for serial, process-pool, remote and bare
   ``shard run`` traces.
 * :func:`find_stragglers` flags workers/shards whose busy time within a
   wave is far above their wave's median — the "which shard straggled"

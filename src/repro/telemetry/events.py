@@ -54,7 +54,7 @@ TELEMETRY_FORMAT = "repro-telemetry/v1"
 TELEMETRY_DIRNAME = "telemetry"
 
 # Sweep lifecycle (emitted once per traced run_sweep, parent process).
-SWEEP_START = "sweep_start"   # sweep, executor, jobs, shards, total, cached, pending, scheduled, salt
+SWEEP_START = "sweep_start"   # sweep, executor, jobs, total, cached, pending, scheduled, salt
 SWEEP_FINISH = "sweep_finish"  # elapsed_s, computed, failed, cached
 
 #: Terminal abort marker, emitted by the *executor's* ``__exit__`` when the

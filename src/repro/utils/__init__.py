@@ -24,7 +24,6 @@ from repro.utils.validation import (
     check_power_of_two,
     check_probability,
 )
-from repro.utils.warnings import reset_warn_once_registry, warn_once
 
 __all__ = [
     "RngMixin",
@@ -41,10 +40,8 @@ __all__ = [
     "get_logger",
     "load_json",
     "new_rng",
-    "reset_warn_once_registry",
     "save_json",
     "set_verbosity",
     "spawn_rngs",
     "stable_digest",
-    "warn_once",
 ]

@@ -10,15 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.warnings import reset_warn_once_registry
 from repro.workloads import PreparedWorkload, prepare_workload
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warn_once_registry():
-    """Deprecations are deduped once-per-process; tests assert per-test."""
-    reset_warn_once_registry()
-    yield
 
 
 @pytest.fixture(scope="session")

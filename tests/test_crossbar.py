@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 
 from repro.adc import UniformAdc
 from repro.crossbar import (
-    CellConfig,
-    CrossbarArray,
     CrossbarTopology,
-    DacConfig,
-    DacModel,
     MappedMVMLayer,
-    ReRAMCellModel,
     bit_slice,
     num_slices,
     reconstruct_from_slices,
@@ -81,81 +76,6 @@ class TestSlicing:
         slices = slice_inputs_temporal(inputs, activation_bits=8, dac_bits=1)
         assert slices.shape == (8, 1, 3)
         np.testing.assert_array_equal(reconstruct_from_slices(slices, 1), inputs)
-
-
-# --------------------------------------------------------------------- #
-# cells, DAC and a single array
-# --------------------------------------------------------------------- #
-class TestCellAndArray:
-    def test_cell_config_validation(self):
-        with pytest.raises(ValueError):
-            CellConfig(g_on=1e-6, g_off=2e-6)
-        with pytest.raises(ValueError):
-            CellConfig(bits_per_cell=0)
-        config = CellConfig()
-        assert config.levels == 2 and config.is_ideal
-        assert config.on_off_ratio == pytest.approx(50.0)
-
-    def test_cell_code_to_conductance_and_back(self):
-        model = ReRAMCellModel(CellConfig(bits_per_cell=2))
-        codes = np.array([0, 1, 2, 3])
-        conductance = model.code_to_conductance(codes)
-        assert np.all(np.diff(conductance) > 0)
-        np.testing.assert_allclose(
-            model.effective_levels_from_conductance(conductance), codes, atol=1e-9
-        )
-        with pytest.raises(ValueError):
-            model.code_to_conductance(np.array([4]))
-
-    def test_cell_programming_variation_is_stochastic_but_seeded(self):
-        config = CellConfig(programming_sigma=0.1)
-        a = ReRAMCellModel(config, rng=1).code_to_conductance(np.ones(100, dtype=int))
-        b = ReRAMCellModel(config, rng=1).code_to_conductance(np.ones(100, dtype=int))
-        c = ReRAMCellModel(config, rng=2).code_to_conductance(np.ones(100, dtype=int))
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert a.std() > 0
-
-    def test_dac_voltage_mapping(self):
-        dac = DacModel(DacConfig(resolution_bits=2, v_read=0.3))
-        voltages = dac.to_voltages(np.array([0, 1, 2, 3]))
-        np.testing.assert_allclose(voltages, [0.0, 0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            dac.to_voltages(np.array([4]))
-
-    def test_array_ideal_mode_exact_dot_product(self, rng):
-        array = CrossbarArray(size=16)
-        codes = rng.integers(0, 2, size=(10, 12))
-        array.program(codes)
-        inputs = rng.integers(0, 2, size=(5, 10))
-        values = array.bitline_values(inputs)
-        expected = inputs @ codes
-        np.testing.assert_allclose(values[:, :12], expected)
-        np.testing.assert_allclose(values[:, 12:], 0.0)
-        assert 0.0 < array.utilisation <= 1.0
-
-    def test_array_analog_mode_matches_ideal_when_no_noise(self, rng):
-        codes = rng.integers(0, 2, size=(16, 16))
-        inputs = rng.integers(0, 2, size=(4, 16))
-        ideal = CrossbarArray(size=16, analog=False)
-        ideal.program(codes)
-        analog = CrossbarArray(size=16, analog=True)
-        analog.program(codes)
-        np.testing.assert_allclose(
-            analog.bitline_values(inputs), ideal.bitline_values(inputs), atol=1e-9
-        )
-
-    def test_array_validation(self, rng):
-        array = CrossbarArray(size=8)
-        with pytest.raises(RuntimeError):
-            _ = array.codes
-        with pytest.raises(ValueError):
-            array.program(np.zeros((9, 4), dtype=int))
-        with pytest.raises(ValueError):
-            array.program(np.zeros(4, dtype=int))
-        array.program(np.ones((4, 4), dtype=int))
-        with pytest.raises(ValueError):
-            array.bitline_values(np.zeros((1, 9)))
 
 
 # --------------------------------------------------------------------- #

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -37,10 +36,7 @@ from repro.experiments import (
 from repro.experiments import runner as runner_module
 from repro.experiments.presets import available_presets, build_preset
 from repro.experiments.store import code_version_salt
-from repro.utils.warnings import reset_warn_once_registry, warn_once
 from repro.workloads import _cache_path, workload_fingerprint
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 # --------------------------------------------------------------------- #
@@ -554,44 +550,3 @@ class TestSpecs:
             JobSpec(kind="banana", workload=TINY)
         with pytest.raises(ValueError, match="kind"):
             SweepSpec(name="x", kind="banana", workloads=[TINY])
-
-
-# --------------------------------------------------------------------- #
-# Once-per-process deprecation warnings (parallel-sweep log hygiene)
-# --------------------------------------------------------------------- #
-class TestWarnOnce:
-    def test_warn_once_dedupes_per_key(self):
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert warn_once("k1", "message one") is True
-            assert warn_once("k1", "message one") is False
-            assert warn_once("k2", "message two") is True
-        assert len(caught) == 2
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert warn_once("k1", "message one") is True
-        assert len(caught) == 1
-
-    def test_fidelity_shim_warns_once_per_process(self):
-        from repro.sim.fidelity import GaussianReadNoise
-
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            GaussianReadNoise(sigma_levels=0.5)
-            GaussianReadNoise(sigma_levels=1.0)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_cell_model_warns_once_per_process(self):
-        from repro.crossbar.cell import CellConfig, ReRAMCellModel
-
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ReRAMCellModel(CellConfig(programming_sigma=0.1))
-            ReRAMCellModel(CellConfig(programming_sigma=0.2))
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1

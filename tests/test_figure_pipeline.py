@@ -31,8 +31,6 @@ from repro.report import (
 )
 from repro.workloads import prepare_workload
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 #: The smoke grid of the equivalence checks: one deliberately tiny workload.
 TINY = WorkloadSpec(
     "lenet5", preset="tiny", train_size=48, test_size=16,

@@ -15,6 +15,8 @@ end-to-end through :class:`repro.sim.PimSimulator` including
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,29 +214,6 @@ class TestSimulatorNoiseEquivalence:
                 b.conversions, b.operations, b.in_r1, b.in_r2
             ), name
 
-    def test_legacy_fidelity_shim_is_now_bit_identical(
-        self, lenet_workload, lenet_eval_data
-    ):
-        """Satellite regression: the deprecated fidelity classes used to put
-        noisy runs on divergent RNG orderings between engines; routed through
-        the keyed subsystem they must now match exactly."""
-        from repro.sim import GaussianReadNoise as LegacyGaussian
-
-        from repro.utils.warnings import reset_warn_once_registry
-
-        images, labels = lenet_eval_data
-        images, labels = images[:6], labels[:6]
-        logits = {}
-        for engine in ("reference", "fast"):
-            reset_warn_once_registry()  # the shim warns once per process
-            with pytest.warns(DeprecationWarning):
-                noise = LegacyGaussian(sigma_levels=0.5, seed=0)
-            sim = PimSimulator(lenet_workload.quantized, engine=engine)
-            logits[engine] = sim.evaluate(
-                images, labels, None, batch_size=3, noise=noise
-            ).logits
-        np.testing.assert_array_equal(logits["reference"], logits["fast"])
-
     def test_noisy_run_is_reproducible_and_distinct(
         self, lenet_workload, lenet_eval_data, noisy_configs
     ):
@@ -285,17 +264,13 @@ class TestSimulatorNoiseEquivalence:
         sim = PimSimulator(lenet_workload.quantized)
         with pytest.raises(ValueError):
             sim.run_monte_carlo(images[:2], labels[:2], None, trials=1)
-        from repro.sim import NoNoise
-
-        with pytest.raises(ValueError):
-            sim.run_monte_carlo(images[:2], labels[:2], NoNoise(), trials=1)
 
     def test_monte_carlo_rejects_legacy_noise_objects(
         self, lenet_workload, lenet_eval_data
     ):
-        """A legacy apply-protocol object owns one mutable RNG stream, so its
-        trials would be neither independent nor seed-reproducible — MC must
-        refuse it instead of silently breaking its contract."""
+        """An object with only the old ``apply(values)`` method is not a noise
+        model: both entry points refuse it outright, without a deprecation
+        path."""
 
         class OldStyle:
             def apply(self, values):
@@ -303,6 +278,10 @@ class TestSimulatorNoiseEquivalence:
 
         images, labels = lenet_eval_data
         sim = PimSimulator(lenet_workload.quantized)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="keyed repro.nonideal models"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TypeError, match="cannot interpret"):
+                sim.evaluate(images[:2], labels[:2], None, noise=OldStyle())
+            with pytest.raises(TypeError, match="cannot interpret"):
                 sim.run_monte_carlo(images[:2], labels[:2], OldStyle(), trials=1)
+        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]

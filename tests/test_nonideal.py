@@ -3,7 +3,7 @@
 Covers the registry round-trips, the counter-based keyed sampling rules
 (determinism under reseeding, independence across key coordinates, static
 vs per-read lifetimes), the semantics of each model, the LUT composition of
-pure value maps, the CellConfig migration, and the Monte Carlo statistics
+pure value maps, and the Monte Carlo statistics
 (CI shrinks with trials; exact reproducibility under a fixed seed).
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.adc.lut import compose_transfer_lut
 from repro.adc.uniform import UniformAdc
-from repro.crossbar import CellConfig, MappedMVMLayer, ReRAMCellModel
+from repro.crossbar import MappedMVMLayer
 from repro.nonideal import (
     ConductanceVariation,
     GaussianReadNoise,
@@ -126,15 +126,6 @@ class TestKeyedSampling:
         assert a.seed != b.seed
         # ... while staying reproducible for a fixed (stack seed, run seed).
         assert a.seed == NonIdealityStack(models, seed=111).derive_trial(0, 3).seed
-
-    def test_legacy_apply_draws_fresh_noise_per_call(self, rng):
-        """The deprecated one-shot API must keep its old behaviour of fresh
-        draws on every call — including for statically-keyed models, which
-        bind a fresh pseudo-device per call."""
-        values = rng.uniform(1.0, 50.0, size=400)
-        for model in (GaussianReadNoise(0.5), ConductanceVariation(0.1)):
-            first, second = model.apply(values), model.apply(values)
-            assert not np.array_equal(first, second)
 
     def test_reseeding_changes_draws(self, rng):
         block = _block(rng)
@@ -339,34 +330,6 @@ class TestComposeTransferLut:
         base = adc.transfer_lut(10)
         with pytest.raises(ValueError):
             compose_transfer_lut(base, np.array([0, 11]))
-
-
-# --------------------------------------------------------------------- #
-# CellConfig migration
-# --------------------------------------------------------------------- #
-class TestCellConfigMigration:
-    def test_from_cell_config_maps_both_knobs(self):
-        stack = NonIdealityStack.from_cell_config(
-            CellConfig(programming_sigma=0.1, read_noise_sigma=0.02), seed=7
-        )
-        assert [type(m) for m in stack.models] == [ConductanceVariation, GaussianReadNoise]
-        variation, read = stack.models
-        assert variation.sigma == 0.1 and not variation.quantize
-        assert read.sigma == 0.02 and read.relative
-        assert stack.seed == 7
-
-    def test_ideal_cell_config_gives_empty_stack(self):
-        assert len(NonIdealityStack.from_cell_config(CellConfig())) == 0
-
-    def test_reram_cell_model_warns_on_nonideal_config(self):
-        with pytest.warns(DeprecationWarning, match="from_cell_config"):
-            ReRAMCellModel(CellConfig(programming_sigma=0.1))
-
-    def test_reram_cell_model_silent_when_ideal(self, recwarn):
-        ReRAMCellModel(CellConfig())
-        assert not any(
-            isinstance(w.message, DeprecationWarning) for w in recwarn.list
-        )
 
 
 # --------------------------------------------------------------------- #

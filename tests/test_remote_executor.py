@@ -50,8 +50,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments import runner as runner_module
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.experiments.cli import main as cli_main
 
 # Fast-failure knobs for tests: no straggler backups unless a test asks.
 CALM = dict(straggler_factor=100.0, straggler_min_gap_s=3600.0)
@@ -130,6 +129,16 @@ class TestHappyPath:
             RemoteExecutor(workers=0)
         with pytest.raises(ValueError):
             RemoteExecutor(max_dispatches=0)
+
+    @pytest.mark.parametrize("executor", [[], ["--executor", "serial"],
+                                          ["--executor", "process"]])
+    def test_force_redispatch_requires_remote(self, tmp_path, executor, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "--preset", "fig6", "--smoke",
+                      "--store", str(tmp_path), "--force-redispatch", *executor])
+        assert excinfo.value.code == 2
+        assert "--force-redispatch requires --executor remote" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # rejected before anything ran
 
 
 # --------------------------------------------------------------------- #

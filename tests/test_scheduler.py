@@ -34,8 +34,8 @@ from repro.experiments import (
     NoiseScenario,
     ProcessPoolExecutor,
     ResultStore,
+    RemoteExecutor,
     SerialExecutor,
-    ShardedExecutor,
     SweepSpec,
     WorkloadSpec,
     aggregate_sweep,
@@ -54,8 +54,6 @@ from repro.experiments import (
 from repro.experiments import runner as runner_module
 from repro.experiments.presets import fig6, fig7
 from repro.experiments.scheduler import UpstreamFailed
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 TINY = WorkloadSpec(
     "lenet5", preset="tiny", train_size=48, test_size=16,
@@ -351,12 +349,14 @@ class TestExecutorResolution:
     def test_names_and_instances(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor("process"), ProcessPoolExecutor)
-        sharded = resolve_executor("sharded", shards=4)
-        assert isinstance(sharded, ShardedExecutor) and sharded.shards == 4
+        remote = resolve_executor("remote", workers=4)
+        assert isinstance(remote, RemoteExecutor) and remote.workers == 4
         instance = SerialExecutor()
         assert resolve_executor(instance) is instance
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("banana")
+        with pytest.raises(ValueError, match="unknown executor"):
+            resolve_executor("sharded")
 
     def test_plan_shards_round_robin(self):
         jobs = tiny_mc_sweep().expand()
@@ -430,7 +430,7 @@ def _run_all_modes(experiment, tmp_path, weights_cache):
 
     # Two shards, run in-process via the manifest runner, then merged.
     runner_module.clear_runner_memos()
-    shard_store = ResultStore(tmp_path / "sharded")
+    shard_store = ResultStore(tmp_path / "shard-merge")
     manifest_paths = write_shard_manifests(
         sweep, 2, tmp_path / "manifests", experiment=experiment,
     )
@@ -442,7 +442,7 @@ def _run_all_modes(experiment, tmp_path, weights_cache):
         assert all(s["status"] in ("done", "cached") for s in statuses)
     merged = aggregate_sweep(sweep, shard_store, experiment=experiment)
     assert len(merged.rows) == len(jobs)
-    results["sharded"] = (record_bytes(merged), store_listing(shard_store))
+    results["shard-merge"] = (record_bytes(merged), store_listing(shard_store))
     return results
 
 
@@ -468,28 +468,28 @@ class TestExecutorEquivalence:
             assert record == reference_record, f"{mode} aggregate differs"
             assert store == reference_store, f"{mode} store contents differ"
 
-    def test_sharded_executor_subprocesses_match_serial(
+    def test_remote_executor_subprocesses_match_serial(
         self, tmp_path, weights_cache
     ):
-        """--executor sharded end to end (real subprocesses) on a cheap
+        """--executor remote end to end (real subprocesses) on a cheap
         reference-evaluate sweep."""
         jobs = [
             JobSpec(kind="evaluate", workload=TINY, images=4, datapath=datapath,
                     label={"config": config})
             for datapath, config in (("float", "f/f"), ("fakequant", "8/f"))
         ]
-        sweep = SweepSpec(name="sharded-refs", kind="mixed", explicit_jobs=jobs)
+        sweep = SweepSpec(name="remote-refs", kind="mixed", explicit_jobs=jobs)
         serial = run_sweep(
             sweep, ResultStore(tmp_path / "serial"),
             weights_cache_dir=weights_cache,
         )
-        sharded = run_sweep(
-            sweep, ResultStore(tmp_path / "sharded"),
-            weights_cache_dir=weights_cache, executor="sharded", shards=2,
+        remote = run_sweep(
+            sweep, ResultStore(tmp_path / "remote"),
+            weights_cache_dir=weights_cache, executor="remote", workers=2,
         )
-        assert sharded.stats.computed == sharded.stats.total == 2
-        assert record_bytes(sharded) == record_bytes(serial)
-        assert store_listing(ResultStore(tmp_path / "sharded")) == \
+        assert remote.stats.computed == remote.stats.total == 2
+        assert record_bytes(remote) == record_bytes(serial)
+        assert store_listing(ResultStore(tmp_path / "remote")) == \
                store_listing(ResultStore(tmp_path / "serial"))
 
 

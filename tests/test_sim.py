@@ -7,13 +7,11 @@ import pytest
 
 from repro.adc import uniform_config, twin_range_config
 from repro.core import TRQParams, uniform_adc_configs
+from repro.nonideal import GaussianReadNoise, NonIdealityStack
 from repro.quantization import FakeQuantBackend, attach_backend, detach_backend, quantize_model
 from repro.sim import (
     DistributionCollector,
-    GaussianReadNoise,
-    NoNoise,
     PimSimulator,
-    ProportionalConductanceNoise,
     ReservoirSampler,
 )
 from repro.sim.stats import LayerSimStats, SimulationResult
@@ -62,32 +60,6 @@ class TestCapture:
         with pytest.raises(KeyError):
             collector.samples("missing")
         assert set(collector.all_samples()) == {"a", "b"}
-
-
-# --------------------------------------------------------------------- #
-# noise models
-# --------------------------------------------------------------------- #
-class TestNoise:
-    def test_no_noise_is_identity(self, rng):
-        values = rng.uniform(0, 10, size=50)
-        np.testing.assert_array_equal(NoNoise().apply(values), values)
-
-    def test_gaussian_noise_perturbs_but_stays_non_negative(self, rng):
-        noise = GaussianReadNoise(sigma_levels=1.0, seed=0)
-        values = rng.uniform(0, 5, size=1000)
-        noisy = noise.apply(values)
-        assert not np.array_equal(noisy, values)
-        assert noisy.min() >= 0.0
-        assert GaussianReadNoise(0.0).apply(values) is values
-
-    def test_proportional_noise(self, rng):
-        noise = ProportionalConductanceNoise(sigma=0.05, seed=0)
-        values = rng.uniform(1, 100, size=500)
-        noisy = noise.apply(values)
-        rel = np.abs(noisy - values) / values
-        assert 0.0 < rel.mean() < 0.2
-        with pytest.raises(ValueError):
-            ProportionalConductanceNoise(-0.1)
 
 
 # --------------------------------------------------------------------- #
@@ -155,7 +127,7 @@ class TestSimulator:
         images, labels = lenet_eval_data
         sim = lenet_workload.simulator
         result = sim.evaluate(images[:8], labels[:8], None, batch_size=8,
-                              noise=GaussianReadNoise(sigma_levels=0.5, seed=0))
+                              noise=NonIdealityStack([GaussianReadNoise(sigma=0.5)], seed=0))
         assert 0.0 <= result.accuracy <= 1.0
 
     def test_collect_bitline_distributions(self, lenet_workload, lenet_bitline_samples):

@@ -46,8 +46,6 @@ from harness.chaos import (
 from repro.experiments import JobSpec, ResultStore, job_key, run_sweep
 from repro.experiments import runner as runner_module
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 HARNESS = Path(__file__).parent / "harness" / "chaos.py"
 SIGKILLED = -9
 

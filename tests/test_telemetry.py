@@ -2,7 +2,7 @@
 
 The contracts pinned here:
 
-* Telemetry is strictly out-of-band: serial, process-pool, sharded and
+* Telemetry is strictly out-of-band: serial, process-pool, remote and
   resumed runs with ``trace`` on produce aggregate records and store
   contents byte-identical to an untraced serial run.
 * The merged event stream accounts for every executed job exactly once
@@ -82,8 +82,6 @@ from repro.telemetry import (
 from repro.telemetry import events as ev
 from repro.telemetry import resources as resources_module
 from repro.utils.logging import set_verbosity, verbosity_to_level
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 TINY = WorkloadSpec(
     "lenet5", preset="tiny", train_size=48, test_size=16,
@@ -306,7 +304,7 @@ class TestMetaSidecar:
         meta = store.load_meta(execute_job(job, store, weights_cache))
         assert not {"backend", "trial_batch", "coalesced"} & set(meta)
 
-    @pytest.mark.parametrize("option", ["trial_batch", "backend"])
+    @pytest.mark.parametrize("option", ["trial_batch", "backend", "shards"])
     def test_run_sweep_has_no_retired_execution_options(self, option, tmp_path):
         with pytest.raises(TypeError):
             run_sweep(tiny_mc_sweep(), ResultStore(tmp_path), **{option: 1})
@@ -324,7 +322,7 @@ class TestMetaSidecar:
 # Traced execution across every executor
 # --------------------------------------------------------------------- #
 def _traced_runs(experiment, tmp_path, weights_cache):
-    """Serial/process/sharded/resumed runs of one sweep, all traced."""
+    """Serial/process/remote/resumed runs of one sweep, all traced."""
     sweep = experiment.sweep
     runs = {}
 
@@ -341,8 +339,8 @@ def _traced_runs(experiment, tmp_path, weights_cache):
     )
 
     runner_module.clear_runner_memos()
-    runs["sharded"] = run_sweep(
-        sweep, ResultStore(tmp_path / "sharded"), executor="sharded", shards=2,
+    runs["remote"] = run_sweep(
+        sweep, ResultStore(tmp_path / "remote"), executor="remote", workers=2,
         weights_cache_dir=weights_cache, experiment=experiment, trace=True,
     )
 
@@ -452,7 +450,7 @@ class TestTracedExecutors:
             samples = trace.select(ev.RESOURCE_SAMPLE)
             assert samples, mode
             assert all(s["max_rss_kb"] > 0 for s in samples), mode
-            if mode in ("process", "sharded"):
+            if mode in ("process", "remote"):
                 # The parent samples, and so does at least one worker /
                 # shard subprocess — distinct streams prove it.
                 assert len({s["stream"] for s in samples}) > 1, mode
@@ -608,7 +606,8 @@ class TestCliTelemetry:
         for event in events:
             assert "backend" not in event and "trial_batch" not in event
 
-    @pytest.mark.parametrize("flag,value", [("--trial-batch", "4"), ("--backend", "numpy")])
+    @pytest.mark.parametrize("flag,value", [("--trial-batch", "4"), ("--backend", "numpy"),
+                                            ("--shards", "2")])
     def test_run_rejects_retired_execution_flags(self, traced_store, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["run", str(traced_store["spec_path"]),
@@ -780,7 +779,7 @@ class TestSweepState:
     def _started(self, scheduled=2):
         state = SweepState()
         state.apply({"event": ev.SWEEP_START, "run_id": "r", "sweep": "s",
-                     "executor": "sharded", "scheduled": scheduled,
+                     "executor": "remote", "scheduled": scheduled,
                      "t_mono": 0.0})
         return state
 
@@ -866,7 +865,7 @@ class TestSweepState:
 
 
 # --------------------------------------------------------------------- #
-# Watching a live two-shard run to completion
+# Watching a live two-worker remote run to completion
 # --------------------------------------------------------------------- #
 class TestLiveWatch:
     def _launch(self, sweep, store, run_id, weights_cache):
@@ -875,7 +874,7 @@ class TestLiveWatch:
         def _execute():
             try:
                 run_sweep(sweep, store, weights_cache_dir=weights_cache,
-                          executor="sharded", shards=2, trace=run_id)
+                          executor="remote", workers=2, trace=run_id)
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
@@ -883,7 +882,7 @@ class TestLiveWatch:
         thread.start()
         return thread, errors
 
-    def test_watch_follows_a_two_shard_run_to_completion(
+    def test_watch_follows_a_remote_run_to_completion(
         self, tmp_path, weights_cache
     ):
         sweep = tiny_mc_sweep("live-shard-sweep")
