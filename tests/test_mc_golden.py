@@ -19,10 +19,12 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from repro.adc import twin_range_config
+from repro.adc import build_adc, twin_range_config, uniform_config
 from repro.core import TRQParams
+from repro.crossbar.mapping import MappedMVMLayer
 from repro.datasets import build_dataset
 from repro.experiments.store import code_version_salt
 from repro.nn.models import build_model
@@ -45,6 +47,31 @@ NOISE_RECIPES = {
 }
 
 TRQ_PARAMS = TRQParams(n_r1=2, n_r2=5, m=3, delta_r1=1.0, bias=0)
+
+#: Converters of the composite recipes, by name.  ``trq_bias`` has the
+#: biased dense window ``[3, 6)`` (two-sided detection) and a non-unit step;
+#: ``uniform`` a non-power-of-two LSB of 3.
+ADC_CONFIGS = {
+    "trq": twin_range_config(TRQ_PARAMS),
+    "trq_bias": twin_range_config(TRQParams(n_r1=2, n_r2=4, m=2, delta_r1=0.75, bias=1)),
+    "uniform": uniform_config(resolution=8, bits=6, v_grid=0.75),
+}
+
+_GAUSSIAN = {"model": "gaussian_read_noise", "sigma": 1.2}
+_STUCK_AT = {"model": "stuck_at_faults", "rate_on": 0.02, "rate_off": 0.05}
+
+#: ``{recipe: (noise specs, ADC_CONFIGS key)}``: stacks of several models and
+#: continuous noise under other converters.  Both engines share each
+#: converter's ``convert_levels``, so fast == reference alone cannot catch a
+#: drift common to both; these digests can.  ``rate_off > rate_on`` gives
+#: negative stuck-at shifts, so the clamp after the second model matters.
+COMPOSITE_RECIPES = {
+    "gaussian+stuck_at": ([_GAUSSIAN, _STUCK_AT], "trq"),
+    "stuck_at+gaussian": ([_STUCK_AT, _GAUSSIAN], "trq"),
+    "ir_drop+gaussian": ([{"model": "ir_drop", "alpha": 0.04}, _GAUSSIAN], "trq"),
+    "gaussian@trq_bias": ([_GAUSSIAN], "trq_bias"),
+    "gaussian@uniform": ([_GAUSSIAN], "uniform"),
+}
 
 #: The salt the digests below were pinned under.
 PINNED_SALT = "1.1.0/schema-v2"
@@ -71,6 +98,24 @@ GOLDEN = {
         3: "04796204c9033cf8f5747fb18dda40156ede272e67687b9d3ee462eb3a725966",
         5: "34286727905f95276d35cf61f50b7d4e3a159a1d2abf09173826e090756945c2",
     },
+}
+
+#: ``{recipe: mc_fingerprint}`` of three trials — identical for both engines.
+GOLDEN_COMPOSITE = {
+    "gaussian+stuck_at": "64296bc1c7381ad95d561df75349a1a27a37fb6acc74c62b47192f181342db1c",
+    "gaussian@trq_bias": "4200d8f50a472072eb4f2dbe0da25619729354f8a133811f46321b13f1c04377",
+    "gaussian@uniform": "b4cd9bb05e8bfbb0f840595efdd8417a4f87fd4b53008fed611e81c5d145dc04",
+    "ir_drop+gaussian": "c6ebdb19c019d07a1dca32b76e01dfb6eb11439e3b8af0ed5fb1e4f9b34f29b8",
+    "stuck_at+gaussian": "ee3122f19b94a0b0a3cf35bc3631394571ad8dabfcf8366e127d8b22f677ba74",
+}
+
+#: ``{ADC_CONFIGS key: matmul_fingerprint}`` of one noisy layer MVM.  The MC
+#: digests see the outputs only through a few predictions; these pin the
+#: merged outputs themselves.
+GOLDEN_MATMUL = {
+    "trq": "17f750fc31777425a05b5a213d437464f891de0d0b0ce595c4fe74d5b2c08a7f",
+    "trq_bias": "af98cd77b2e652bb3ff6fe01bd5b3096ff09d5acc2ec061b47d63b7617ba6794",
+    "uniform": "086c55f0363e942f2b03927ee2e41bdfb4b40048abbc7be4c5bbed469ad3865e",
 }
 
 
@@ -126,10 +171,30 @@ def mc_fingerprint(result) -> str:
 
 def run_mc(harness, recipe, engine, trials):
     quantized, configs, images, labels = harness
-    stack = NonIdealityStack(NOISE_RECIPES[recipe], seed=5)
+    if recipe in COMPOSITE_RECIPES:
+        specs, adc = COMPOSITE_RECIPES[recipe]
+        configs = dict.fromkeys(configs, ADC_CONFIGS[adc])
+    else:
+        specs = NOISE_RECIPES[recipe]
+    stack = NonIdealityStack(specs, seed=5)
     return PimSimulator(quantized, engine=engine).run_monte_carlo(
         images, labels, stack, adc_configs=configs, trials=trials, batch_size=4, seed=3
     )
+
+
+def matmul_fingerprint(adc_name: str, engine: str) -> str:
+    """Digest of a three-segment layer's outputs, op count and converter
+    statistics under read noise followed by stuck-at faults."""
+    rng = np.random.default_rng(11)
+    mapped = MappedMVMLayer(rng.integers(-127, 128, size=(300, 10)))
+    noise = NonIdealityStack([_GAUSSIAN, _STUCK_AT], seed=5).bind_mapped("fc", mapped)
+    adc = build_adc(ADC_CONFIGS[adc_name])
+    outputs, ops = mapped.matmul(
+        rng.integers(0, 256, size=(24, 300)), adc, engine=engine, noise=noise
+    )
+    digest = hashlib.sha256(outputs.tobytes())
+    digest.update(repr((ops, dataclasses.asdict(adc.stats))).encode())
+    return digest.hexdigest()
 
 
 def test_digests_pinned_under_current_salt():
@@ -140,6 +205,7 @@ def test_every_registered_noise_model_is_pinned():
     models = sorted(spec["model"] for specs in NOISE_RECIPES.values() for spec in specs)
     assert models == sorted(registered_models())
     assert sorted(GOLDEN) == sorted(NOISE_RECIPES)
+    assert sorted(GOLDEN_COMPOSITE) == sorted(COMPOSITE_RECIPES)
 
 
 @pytest.mark.parametrize("trials", [3, 5])
@@ -147,6 +213,18 @@ def test_every_registered_noise_model_is_pinned():
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_monte_carlo_matches_golden_digest(mc_results, recipe, engine, trials):
     assert mc_fingerprint(mc_results(recipe, engine, trials)) == GOLDEN[recipe][trials]
+
+
+@pytest.mark.parametrize("recipe", sorted(COMPOSITE_RECIPES))
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_composite_monte_carlo_matches_golden_digest(mc_results, recipe, engine):
+    assert mc_fingerprint(mc_results(recipe, engine, 3)) == GOLDEN_COMPOSITE[recipe]
+
+
+@pytest.mark.parametrize("adc_name", sorted(ADC_CONFIGS))
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_noisy_matmul_matches_golden_digest(adc_name, engine):
+    assert matmul_fingerprint(adc_name, engine) == GOLDEN_MATMUL[adc_name]
 
 
 @pytest.mark.parametrize("recipe", sorted(NOISE_RECIPES))
