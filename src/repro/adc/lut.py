@@ -30,7 +30,7 @@ Two tabulations are kept side by side:
   ≤ 1 ulp for non-power-of-two steps; both engines use the *level*
   semantics in the MVM datapath, so the difference never appears between
   engines.  Converters without a uniform level grid (e.g. the non-uniform
-  baseline) publish ``levels=None`` and take the element-wise fallback path.
+  baseline) publish ``levels=None`` and take the ordered float-merge path.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ the two agree on every input.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,15 +58,18 @@ class TwinRangeAdc(LutConversionMixin):
         """The integer-level step: quantized value = ``delta_r1 · level``."""
         return self.params.delta_r1
 
-    def convert_levels(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
+    def convert_levels(
+        self, values: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, int]:
         """Convert to integer output levels; returns ``(levels, ops)``.
 
         Same statistics and operation count as :meth:`convert`; the quantized
         value is exactly ``level_scale · level`` (see
-        :func:`repro.core.trq.twin_range_levels`).
+        :func:`repro.core.trq.twin_range_levels`, which also defines
+        ``out``: the levels may be computed in place).
         """
         values = np.asarray(values, dtype=np.float64)
-        levels, in_r1 = twin_range_levels(values, self.params)
+        levels, in_r1 = twin_range_levels(values, self.params, out=out)
         num_r1 = int(np.count_nonzero(in_r1))
         num_r2 = int(values.size - num_r1)
         detection = values.size * self.params.detection_ops

@@ -9,14 +9,14 @@ operations per conversion) and accumulates :class:`ConversionStats`.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.adc.config import AdcConfig, AdcMode, uniform_config
 from repro.adc.counters import ConversionStats
 from repro.adc.lut import AdcTransferLut, LutConversionMixin, compact_levels
-from repro.utils.numeric import round_half_up
+from repro.utils.numeric import float64_out, round_half_up
 
 
 class UniformAdc(LutConversionMixin):
@@ -62,11 +62,17 @@ class UniformAdc(LutConversionMixin):
         """Largest representable value."""
         return self.max_code * self.delta
 
+    def _codes(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``clip(round_half_up(values / Δ), 0, max_code)``, in ``out`` if given."""
+        values = np.asarray(values, dtype=np.float64)
+        codes = np.divide(values, self.delta, out=float64_out(out, values.shape))
+        round_half_up(codes, out=codes)
+        return np.clip(codes, 0, self.max_code, out=codes)
+
     def convert(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
         """Convert an array of values; returns ``(quantized, total_ops)``."""
         values = np.asarray(values, dtype=np.float64)
-        codes = np.clip(round_half_up(values / self.delta), 0, self.max_code)
-        quantized = codes * self.delta
+        quantized = self._codes(values) * self.delta
         ops = values.size * self.bits
         self.stats.record(conversions=values.size, operations=ops)
         return quantized, ops
@@ -76,23 +82,26 @@ class UniformAdc(LutConversionMixin):
         """The integer-level step: quantized value = ``delta · level``."""
         return self.delta
 
-    def convert_levels(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
+    def convert_levels(
+        self, values: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, int]:
         """Convert to integer output levels (codes); returns ``(levels, ops)``.
 
         Same statistics and operation count as :meth:`convert`; the quantized
         value is exactly ``level_scale · level``.  Levels are returned as
         float64 holding exact integers, ready for exact shift-and-add merging.
+        With ``out`` (a float64 array of ``values``' shape, which may be
+        ``values`` itself) they are computed there in place.
         """
         values = np.asarray(values, dtype=np.float64)
-        codes = np.clip(round_half_up(values / self.delta), 0, self.max_code)
+        codes = self._codes(values, out=out)
         ops = values.size * self.bits
         self.stats.record(conversions=values.size, operations=ops)
         return codes, ops
 
     def _build_transfer_lut(self, max_value: int) -> AdcTransferLut:
         """Tabulate the K-step binary-search transfer function (integer inputs)."""
-        inputs = np.arange(max_value + 1, dtype=np.float64)
-        codes = np.clip(round_half_up(inputs / self.delta), 0, self.max_code)
+        codes = self._codes(np.arange(max_value + 1, dtype=np.float64))
         return AdcTransferLut(
             values=codes * self.delta,
             ops_per_value=np.full(max_value + 1, self.bits, dtype=np.int64),

@@ -22,11 +22,11 @@ the corresponding A/D-operation counts — lives in :mod:`repro.adc.trq`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.utils.numeric import round_half_up
+from repro.utils.numeric import float64_out, round_half_up
 from repro.utils.validation import check_in_range, check_integer, check_positive
 
 
@@ -151,7 +151,7 @@ def twin_range_quantize(
 
 
 def twin_range_levels(
-    values: np.ndarray, params: TRQParams
+    values: np.ndarray, params: TRQParams, out: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Integer output levels of the TRQ transfer function.
 
@@ -164,18 +164,29 @@ def twin_range_levels(
     engine's bit-reproducibility (see :mod:`repro.crossbar.mapping`).
 
     Returns ``(levels, in_r1)``; ``levels`` is float64 but holds exact
-    integers.
+    integers.  With ``out`` (a float64 array of ``values``' shape, which may
+    be ``values`` itself) the levels are computed there in place, with the
+    same float operations and results as the new-array form.
     """
     values = np.asarray(values, dtype=np.float64)
+    levels = float64_out(out, values.shape)
     in_r1 = classify_regions(values, params)
+    # Dense-range codes go to a temporary first, as ``levels`` may be ``values``.
+    # Subtracting a zero ``r1_low`` is the identity, so it is skipped.
+    codes_r1 = np.divide(
+        values - params.r1_low if params.bias else values, params.delta_r1
+    )
+    round_half_up(codes_r1, out=codes_r1)
+    np.clip(codes_r1, 0, (1 << params.n_r1) - 1, out=codes_r1)
+    if params.bias:
+        codes_r1 += float(params.bias << params.n_r1)
 
-    max_code_r1 = (1 << params.n_r1) - 1
-    codes_r1 = np.clip(round_half_up((values - params.r1_low) / params.delta_r1), 0, max_code_r1)
-    max_code_r2 = (1 << params.n_r2) - 1
-    codes_r2 = np.clip(round_half_up(values / params.delta_r2), 0, max_code_r2)
-
-    offset = float(params.bias << params.n_r1)
-    levels = np.where(in_r1, offset + codes_r1, codes_r2 * float(1 << params.m))
+    np.divide(values, params.delta_r2, out=levels)
+    round_half_up(levels, out=levels)
+    np.clip(levels, 0, (1 << params.n_r2) - 1, out=levels)
+    if params.m:
+        levels *= float(1 << params.m)
+    np.copyto(levels, codes_r1, where=in_r1)
     return levels, in_r1
 
 

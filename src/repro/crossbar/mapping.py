@@ -74,9 +74,6 @@ exact:
 Both engines therefore compute the same exact integers, scale them once per
 output, and produce bit-identical results with identical operation counts
 (asserted by the test suite and by ``benchmarks/bench_engine_fastpath.py``).
-Converters without a level grid (e.g. the non-uniform baseline) take an
-element-wise fallback inside the fused kernel that replays the reference
-merge semantics.
 
 Device non-idealities (the optional ``noise`` argument, a
 :class:`repro.nonideal.stack.LayerNoiseState`) perturb the raw bit-line
@@ -84,12 +81,26 @@ blocks before conversion.  Because every perturbation is a *keyed,
 counter-based* function of the block's logical coordinates (chunk, segment,
 input cycle) rather than a shared RNG stream, both engines reconstruct the
 same noise sample for sample and remain bit-identical under noise.
-Integer-domain perturbations (stuck-at faults, quantized variation,
-retention drift) keep the fused LUT conversion path — pure per-value maps
-are even folded into the transfer LUT itself
-(:func:`repro.adc.lut.compose_transfer_lut`) — while continuous
-perturbations (read noise, analog variation, IR drop) route the fused
-kernel through the element-wise fallback.
+
+Which converters take which fast-engine path:
+
+* **Packed LUT gather** — level-grid converters (anything with a
+  ``transfer_lut`` whose ``levels`` exist: ``TwinRangeAdc``,
+  ``UniformAdc``) without noise or under integer-domain noise (stuck-at
+  faults, quantized variation, retention drift), and ideal conversion under
+  integer-domain noise (identity level table).  Pure per-value maps are
+  folded into the transfer LUT itself
+  (:func:`repro.adc.lut.compose_transfer_lut`).
+* **Per-block level conversion** — level-grid converters (anything with
+  ``convert_levels``) under continuous noise (read noise, analog variation,
+  IR drop).  Each noisy block is perturbed and converted in place in one
+  reused float64 buffer, then joins the same int64 collapse and merge GEMM
+  as the gather path.
+* **Ordered float merge** — converters without a level grid (e.g. the
+  non-uniform baseline) and ideal conversion under continuous noise.  Their
+  float merges depend on summation order, so the reference order is
+  replayed.
+* **One exact GEMM** — noise-free ideal conversion.
 
 Observable differences are limited to the optional ``partial_observer``: the
 reference engine emits blocks cycle-major, the fast engine segment-major
@@ -525,14 +536,16 @@ class MappedMVMLayer:
         runs the packed kernel with the identity level table of the
         perturbed bound.  Both charge the analytic baseline op count.
 
-        Converters without a level grid (e.g. the non-uniform baseline) fall
-        back to element-wise conversion with the reference engine's merge
-        semantics.  Integer-domain noise keeps this path: pure per-value
-        maps are folded into the transfer LUT (zero per-element cost),
-        column-dependent integer perturbations are applied per (cycle,
-        segment) block before the gather with the LUT sized to the
-        perturbed bound.  Continuous noise leaves the integer domain and
-        routes through the fallback.
+        Integer-domain noise keeps the gather: pure per-value maps are
+        folded into the transfer LUT (zero per-element cost), column-
+        dependent integer perturbations are applied per (cycle, segment)
+        block before the gather with the LUT sized to the perturbed bound.
+        Continuous noise leaves the integer domain: level-grid converters
+        (``convert_levels``) then convert each noisy block element-wise
+        but collapse and merge it the same exact way
+        (:meth:`_matmul_fast_levels`).  Converters without a level grid
+        (e.g. the non-uniform baseline) and ideal conversion under
+        continuous noise take :meth:`_matmul_fast_fallback`.
 
         Blocks handed to ``partial_observer`` are transient views into a
         reused buffer — observers must copy what they keep (the distribution
@@ -561,13 +574,15 @@ class MappedMVMLayer:
                 if lut is not None and lut.levels is None:
                     lut = None
             if lut is None:
+                if getattr(adc, "convert_levels", None) is not None:
+                    return self._matmul_fast_levels(
+                        input_codes, adc, partial_observer, noise
+                    )
                 return self._matmul_fast_fallback(
                     self._stack_cycles(input_codes), num_cycles, batch, adc,
                     partial_observer, noise,
                 )
         elif not integer_noise:
-            # Ideal conversion under continuous noise merges floats, where
-            # summation order matters; replay the reference order.
             return self._matmul_fast_fallback(
                 self._stack_cycles(input_codes), num_cycles, batch, None,
                 partial_observer, noise,
@@ -612,9 +627,9 @@ class MappedMVMLayer:
                 raw = partials_buf.reshape(num_cycles, batch, cols)
                 noisy = noisy_buf.reshape(num_cycles, batch, cols)
                 for cycle_index in range(num_cycles):
-                    np.copyto(
-                        noisy[cycle_index],
-                        noise.perturb_block(raw[cycle_index], segment_index, cycle_index),
+                    noise.perturb_block(
+                        raw[cycle_index], segment_index, cycle_index,
+                        out=noisy[cycle_index],
                     )
                 conversion_source = noisy_buf
             else:
@@ -639,17 +654,80 @@ class MappedMVMLayer:
             total_ops = adc.record_code_counts(
                 marginal_counts(counts, radix, group), lut
             )
+        scale = 1.0 if lut is None else lut.scale
+        return self._merge_collapsed(collapsed, scratch, scale), total_ops
+
+    def _matmul_fast_levels(
+        self,
+        input_codes: np.ndarray,
+        adc: object,
+        partial_observer: Optional[Callable[[np.ndarray], None]],
+        noise: Optional[object],
+    ) -> Tuple[np.ndarray, int]:
+        """Element-wise level conversion with the fused kernel's exact merge.
+
+        For level-grid converters that cannot use a transfer LUT, in
+        practice under continuous noise.  One float32 GEMM per segment
+        yields every cycle's bit-line values.  Each (segment, cycle) block
+        is perturbed into one reused float64 buffer (the same keyed draws
+        as the reference loop), converted to integer levels in place by
+        ``adc.convert_levels(..., out=...)``, and shift-added into the int64
+        ``collapsed`` sums.  The merge GEMM then scales once per output.
+        Levels are exact integers and every sum stays below ``2^53``, so
+        the result matches the reference loop bit for bit in any order, and
+        the converter sees the same blocks, so its statistics do too.
+        """
+        num_cycles, batch = self.num_input_cycles, input_codes.shape[0]
+        cols = 2 * self.num_weight_planes * self.out_features
+        stacked = self._stack_cycles(input_codes)
+        partials_buf = self._fast_buffer("partials", (num_cycles * batch, cols), np.float32)
+        noisy = self._fast_buffer("noisy", (batch, cols), np.float64)
+        collapsed = self._fast_buffer("collapsed", (batch, cols), np.int64)
+        collapsed.fill(0)
+        # Holds one shifted block during the collapse, then the float64 copy
+        # of the collapsed sums for the merge GEMM.
+        scratch = self._fast_buffer("merge_scratch", (batch, cols), np.int64)
+        total_ops = 0
+        for segment_index, segment in enumerate(self._segments):
+            np.matmul(
+                stacked[:, segment], self._plane_matrix[segment], out=partials_buf
+            )
+            blocks = partials_buf.reshape(num_cycles, batch, cols)
+            for cycle_index, block in enumerate(blocks):
+                if partial_observer is not None:
+                    partial_observer(block)
+                if noise is None:
+                    np.copyto(noisy, block)
+                else:
+                    noise.perturb_block(block, segment_index, cycle_index, out=noisy)
+                levels, ops = adc.convert_levels(noisy, out=noisy)
+                total_ops += int(ops)
+                np.multiply(
+                    levels, 1 << (cycle_index * self.topology.dac_bits),
+                    out=scratch, casting="unsafe",
+                )
+                collapsed += scratch
+        return self._merge_collapsed(collapsed, scratch, float(adc.level_scale)), total_ops
+
+    def _merge_collapsed(
+        self, collapsed: np.ndarray, scratch: np.ndarray, scale: float
+    ) -> np.ndarray:
+        """Outputs from int64 ``(batch, columns)`` collapsed level sums.
+
+        One float64 GEMM with the ``(columns, out)`` merge matrix, in which
+        column ``(sign, plane, o)`` feeds output ``o`` with factor
+        ``±2^(plane·Rcell)``, then one multiplication by ``scale``.
+        ``scratch`` (int64, ``collapsed``'s shape) holds the float64 copy.
+        """
         as_float = scratch.view(np.float64)
         np.copyto(as_float, collapsed)
-        # (columns, out) merge matrix: column (sign, plane, o) feeds output o
-        # with factor ±2^(plane·Rcell).
         merge_matrix = np.kron(
             self._merge_factors.reshape(-1, 1), np.eye(self.out_features)
         )
         accumulator = np.matmul(as_float, merge_matrix)
-        if lut is not None and lut.scale != 1.0:
-            accumulator *= lut.scale
-        return accumulator, total_ops
+        if scale != 1.0:
+            accumulator *= scale
+        return accumulator
 
     def _matmul_ideal(
         self,
@@ -702,28 +780,20 @@ class MappedMVMLayer:
         partial_observer: Optional[Callable[[np.ndarray], None]],
         noise: Optional[object] = None,
     ) -> Tuple[np.ndarray, int]:
-        """Fused-GEMM path for element-wise (non-LUT) conversion.
+        """Fused-GEMM path for converters that merge floats.
 
-        One matmul per segment is kept; conversion and noise run per
-        (cycle, segment) block — the same blocks, values and keyed noise
-        draws as the reference loop — so the result matches the loop path
-        bit for bit whenever the converter is deterministic.  Converters
-        with an integer level grid merge integer levels (scale applied once
-        per output), which is order-free exact arithmetic and is accumulated
-        directly.  Converters without one (and ideal conversion of
-        continuous-noise floats) merge floats, where order matters: their
+        Converters without a level grid (e.g. the non-uniform baseline), and
+        ideal conversion under continuous noise, produce float values whose
+        merge depends on summation order.  One matmul per segment is kept;
+        conversion and noise run per (cycle, segment) block — the same
+        blocks, values and keyed noise draws as the reference loop — and the
         ``cycles × segments`` contributions are replayed in the reference
-        order, trading memory for bit-parity at large ``chunk_size`` —
-        shrink the chunk if that matters.
+        (cycle-major) order, so the result matches the loop path bit for
+        bit whenever the converter is deterministic.  This trades memory for
+        bit-parity at large ``chunk_size``; shrink the chunk if that matters.
         """
         total_ops = 0
         baseline_ops = self.topology.ideal_adc_resolution
-        convert_levels = getattr(adc, "convert_levels", None) if adc is not None else None
-        scale = float(adc.level_scale) if convert_levels is not None else 1.0
-        # Integer levels merge exactly in any order; float merges replay the
-        # reference (cycle-major) accumulation order.
-        preserve_order = convert_levels is None
-        accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
         contributions: List[List[np.ndarray]] = [[] for _ in range(num_cycles)]
         for segment_index, segment in enumerate(self._segments):
             partials = np.matmul(stacked[:, segment], self._plane_matrix[segment])
@@ -738,23 +808,15 @@ class MappedMVMLayer:
                 if adc is None:
                     quantized = block
                     total_ops += block.size * baseline_ops
-                elif convert_levels is not None:
-                    quantized, ops = convert_levels(block)
-                    total_ops += int(ops)
                 else:
                     quantized, ops = adc.convert(block)
                     total_ops += int(ops)
                 cycle_factor = float(1 << (cycle_index * self.topology.dac_bits))
-                contribution = cycle_factor * self.merge_partials(quantized)
-                if preserve_order:
-                    contributions[cycle_index].append(contribution)
-                else:
-                    accumulator += contribution
+                contributions[cycle_index].append(cycle_factor * self.merge_partials(quantized))
+        accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
         for per_cycle in contributions:
             for contribution in per_cycle:
                 accumulator += contribution
-        if scale != 1.0:
-            accumulator *= scale
         return accumulator, total_ops
 
     def _fast_buffer(self, name: str, shape: Tuple[int, int], dtype) -> np.ndarray:

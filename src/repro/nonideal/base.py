@@ -29,7 +29,9 @@ receives the layer's mapping geometry (:class:`LayerNoiseContext`) and
 returns a :class:`BoundModel` holding any pre-drawn static state.  Bound
 models expose three capabilities the engines exploit:
 
-* ``perturb`` — perturb one raw bit-line block (works for every model);
+* ``perturb`` — perturb one raw bit-line block (works for every model),
+  in place in a float64 buffer the owning
+  :class:`~repro.nonideal.stack.LayerNoiseState` hands it;
 * ``integer_domain`` — the perturbation maps exact integer bit-line values
   to exact integer values, so the fast engine can stay on its integer-LUT
   conversion path (with the LUT bound enlarged to ``output_bound``);
@@ -104,9 +106,16 @@ class BoundModel:
     """One non-ideality model bound to one mapped layer.
 
     The base implementation is the identity; models override the pieces they
-    need.  ``perturb`` must never mutate its input (the engines may pass
-    views into reused scratch buffers) and must return float64 so both
-    engines merge exactly the same values.
+    need.
+
+    ``perturb`` receives a float64 block that the owning
+    :class:`~repro.nonideal.stack.LayerNoiseState` owns for the length of
+    the call: a copy of the engine's raw block, never the raw block itself.
+    A model may perturb it in place and return it (the built-in models do,
+    so a block costs no temporaries), or return a new float64 array of the
+    same shape.  Whatever it returns is owned by the state from then on:
+    later models in the stack may modify it in place, so a model must never
+    return an array it keeps (a cached constant, say).
     """
 
     def __init__(self, ctx: LayerNoiseContext) -> None:
@@ -136,7 +145,8 @@ class BoundModel:
     def perturb(
         self, values: np.ndarray, segment: int, cycle: int, chunk: int
     ) -> np.ndarray:
-        """Perturb one raw bit-line block of shape ``(rows, columns)``."""
+        """Perturb one float64 bit-line block of shape ``(rows, columns)``
+        (in place allowed; see the class docstring)."""
         return values
 
 

@@ -15,8 +15,10 @@ variation) keep bit-line values on the integer grid, so the fast engine
 converts them with its integer-LUT gather — retention drift is even folded
 *into* the LUT (a perturbed :class:`~repro.adc.lut.AdcTransferLut`) at zero
 per-element cost.  Continuous models (read noise, analog variation, IR
-drop) leave the integer domain; the engines then take the element-wise
-conversion path, still bit-identical between them.
+drop) leave the integer domain; the engines then convert each block
+element-wise, still bit-identical between them.  Every model perturbs the
+float64 block it is handed in place (see
+:class:`~repro.nonideal.base.BoundModel`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class _IdentityBound(BoundModel):
     Declaring the identity explicitly (integer-domain, identity value map)
     lets zero-strength models — common as the clean sentinel row of a sweep
     — keep the fast engine on its integer-LUT path instead of dragging the
-    whole stack onto the element-wise fallback.
+    whole stack onto element-wise conversion.
     """
 
     @property
@@ -57,14 +59,16 @@ class _BoundGaussianRead(BoundModel):
         super().__init__(ctx)
         self.sigma = sigma
 
-    def _draw(self, shape, segment, cycle, chunk):
-        key = self.ctx.draw_key("read", chunk, segment, cycle)
-        return new_rng(key).normal(0.0, self.sigma, shape)
-
     def perturb(self, values, segment, cycle, chunk):
-        noise = self._draw(values.shape, segment, cycle, chunk)
+        # ``normal(0, sigma)`` is ``0.0 + sigma * z`` over this same
+        # standard-normal stream.  Dropping the ``0.0 +`` can only change the
+        # sign of an exactly zero sum, and the clamp maps both zeros to 0.0.
+        key = self.ctx.draw_key("read", chunk, segment, cycle)
+        noise = new_rng(key).standard_normal(values.shape)
+        noise *= self.sigma
+        values += noise
         # Bit-line currents are physically non-negative.
-        return np.maximum(np.asarray(values, dtype=np.float64) + noise, 0.0)
+        return np.maximum(values, 0.0, out=values)
 
 
 @register_model
@@ -119,10 +123,11 @@ class _BoundConductanceVariation(BoundModel):
         return int(round_half_up(input_bound * self._max_factor))
 
     def perturb(self, values, segment, cycle, chunk):
-        scaled = np.asarray(values, dtype=np.float64) * self._factors[segment]
+        values *= self._factors[segment]
         if self.quantize:
-            return np.maximum(round_half_up(scaled), 0.0)
-        return scaled
+            round_half_up(values, out=values)
+            np.maximum(values, 0.0, out=values)
+        return values
 
 
 @register_model
@@ -178,9 +183,8 @@ class _BoundStuckAt(BoundModel):
         return int(input_bound) + self._max_on
 
     def perturb(self, values, segment, cycle, chunk):
-        return np.maximum(
-            np.asarray(values, dtype=np.float64) + self._delta[segment], 0.0
-        )
+        values += self._delta[segment]
+        return np.maximum(values, 0.0, out=values)
 
 
 @register_model
@@ -234,7 +238,8 @@ class _BoundRetentionDrift(BoundModel):
 
     def perturb(self, values, segment, cycle, chunk):
         # Must equal value_map element for element on exact integers.
-        return round_half_up(np.asarray(values, dtype=np.float64) * self.factor)
+        values *= self.factor
+        return round_half_up(values, out=values)
 
 
 @register_model
@@ -285,7 +290,8 @@ class _BoundIRDrop(BoundModel):
         self._factors = 1.0 - alpha * position
 
     def perturb(self, values, segment, cycle, chunk):
-        return np.asarray(values, dtype=np.float64) * self._factors
+        values *= self._factors
+        return values
 
 
 @register_model

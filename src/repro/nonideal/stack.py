@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.nonideal.base import BoundModel, LayerNoiseContext, NonIdealityModel
 from repro.nonideal.registry import build_models
+from repro.utils.numeric import float64_out
 from repro.utils.rng import derive_seed
 
 
@@ -84,18 +85,33 @@ class LayerNoiseState:
         return self._pure_map
 
     def perturb_block(
-        self, values: np.ndarray, segment: int, cycle: int
+        self,
+        values: np.ndarray,
+        segment: int,
+        cycle: int,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Apply every model, in stack order, to one raw bit-line block.
 
-        ``values`` is ``(rows, columns)`` and is never mutated; the result is
-        float64 (exact integers throughout for integer-domain stacks).
+        ``values`` is ``(rows, columns)`` and is never mutated: it is copied
+        into a float64 buffer that the models perturb in place (see
+        :class:`~repro.nonideal.base.BoundModel`).  That buffer is ``out``
+        when given — a float64 array of ``values``' shape, which then also
+        holds the result and is returned — else a new array.  The result
+        holds exact integers throughout for integer-domain stacks.
         """
-        out = np.asarray(values, dtype=np.float64)
+        if out is None:
+            block = np.array(values, dtype=np.float64)
+        else:
+            block = float64_out(out, np.shape(values))
+            np.copyto(block, values)
         chunk = self._chunk
         for model in self._bound:
-            out = model.perturb(out, segment, cycle, chunk)
-        return out
+            block = model.perturb(block, segment, cycle, chunk)
+        if out is not None and block is not out:
+            np.copyto(out, block)
+            return out
+        return block
 
 
 class NonIdealityStack:

@@ -11,12 +11,40 @@ the datapath therefore goes through :func:`round_half_up`.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 
-def round_half_up(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer, with exact halves rounded up (+inf)."""
-    return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
+def round_half_up(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Round to the nearest integer, with exact halves rounded up (+inf).
+
+    With ``out`` (see :func:`float64_out`; it may be ``x`` itself) the
+    result is written there in place of a new array.
+    """
+    if out is None:
+        return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
+    out = float64_out(out, np.shape(x))
+    np.add(x, 0.5, out=out, dtype=np.float64)
+    return np.floor(out, out=out)
+
+
+def float64_out(out: Optional[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
+    """``out`` checked to be a float64 array of ``shape``; a new one if ``None``.
+
+    The in-place conversion and perturbation paths write their results
+    through ``out``.  A float32 or mis-shaped buffer would silently round
+    or broadcast there, so both raise ``ValueError``.
+    """
+    if out is None:
+        return np.empty(shape, dtype=np.float64)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array, got {getattr(out, 'dtype', type(out).__name__)}"
+        )
+    if out.shape != tuple(shape):
+        raise ValueError(f"out must have shape {tuple(shape)}, got {out.shape}")
+    return out
 
 
 def clamp(x: np.ndarray, low: float, high: float) -> np.ndarray:

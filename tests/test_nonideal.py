@@ -411,3 +411,102 @@ class TestBinding:
         stack = NonIdealityStack([Halver()])
         out = _state(stack).perturb_block(np.full((1, 32), 8.0), 0, 0)
         np.testing.assert_array_equal(out, np.full((1, 32), 4.0))
+
+
+# --------------------------------------------------------------------- #
+# the in-place perturbation contract
+# --------------------------------------------------------------------- #
+class _Halver(NonIdealityModel):
+    """An unregistered third-party model halving every value, either in
+    place or (``fresh=True``) into a new array as models may also do."""
+
+    name = ""
+
+    def __init__(self, fresh: bool) -> None:
+        self.fresh = fresh
+
+    def params(self):
+        return {"fresh": self.fresh}
+
+    def bind(self, ctx: LayerNoiseContext):
+        from repro.nonideal.base import BoundModel
+
+        fresh = self.fresh
+
+        class _B(BoundModel):
+            def perturb(self, values, segment, cycle, chunk):
+                if fresh:
+                    return values / 2.0
+                values /= 2.0
+                return values
+
+        return _B(ctx)
+
+
+def _halving_stack(fresh: bool) -> NonIdealityStack:
+    return NonIdealityStack(
+        [GaussianReadNoise(0.5), _Halver(fresh), StuckAtFaults(0.05, 0.05)], seed=3
+    )
+
+
+class TestInPlaceContract:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_caller_block_is_never_mutated(self, rng, dtype):
+        block = _block(rng).astype(dtype)
+        snapshot = block.copy()
+        stack = NonIdealityStack(ALL_MODELS, seed=0)
+        out = np.empty(block.shape)
+        assert _state(stack).perturb_block(block, 1, 2, out=out) is out
+        _state(stack).perturb_block(block, 1, 2)
+        np.testing.assert_array_equal(block, snapshot)
+        assert block.dtype == dtype
+
+    def test_out_holds_the_new_array_result(self, rng):
+        block = _block(rng).astype(np.float32)
+        stack = NonIdealityStack(ALL_MODELS, seed=0)
+        out = np.full(block.shape, np.nan)
+        _state(stack).perturb_block(block, 1, 2, out=out)
+        expected = _state(stack).perturb_block(block, 1, 2)
+        assert expected.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_fresh_array_model_composes_like_an_in_place_one(self, rng, with_out):
+        block = _block(rng)
+        snapshot = block.copy()
+        results = []
+        for fresh in (False, True):
+            out = np.empty(block.shape) if with_out else None
+            result = _state(_halving_stack(fresh)).perturb_block(block, 1, 0, out=out)
+            if with_out:
+                assert result is out
+            results.append(result)
+        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(block, snapshot)
+        halved = NonIdealityStack([_Halver(fresh=True)])
+        np.testing.assert_array_equal(_state(halved).perturb_block(block, 0, 0), block / 2.0)
+
+    def test_fresh_array_model_keeps_engines_identical(self, rng):
+        from repro.adc.trq import TwinRangeAdc
+        from repro.core import TRQParams
+
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(150, 6)))
+        codes = rng.integers(0, 256, size=(5, 150))
+        params = TRQParams(n_r1=2, n_r2=5, m=3, delta_r1=1.0)
+        results = [
+            layer.matmul(
+                codes, TwinRangeAdc(params), engine=engine,
+                noise=_halving_stack(fresh=True).bind_mapped("fc", layer),
+            )
+            for engine in ("fast", "reference")
+        ]
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        assert results[0][1] == results[1][1]
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((4, 32), dtype=np.float32), np.empty((4, 31)), np.empty(128)]
+    )
+    def test_out_must_be_a_float64_block(self, rng, out):
+        state = _state(NonIdealityStack([GaussianReadNoise(0.5)]))
+        with pytest.raises(ValueError):
+            state.perturb_block(_block(rng), 0, 0, out=out)
