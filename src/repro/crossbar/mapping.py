@@ -574,7 +574,7 @@ class MappedMVMLayer:
                 if lut is not None and lut.levels is None:
                     lut = None
             if lut is None:
-                if getattr(adc, "convert_levels", None) is not None:
+                if not integer_noise and getattr(adc, "convert_levels", None) is not None:
                     return self._matmul_fast_levels(
                         input_codes, adc, partial_observer, noise
                     )
@@ -662,14 +662,14 @@ class MappedMVMLayer:
         input_codes: np.ndarray,
         adc: object,
         partial_observer: Optional[Callable[[np.ndarray], None]],
-        noise: Optional[object],
+        noise: object,
     ) -> Tuple[np.ndarray, int]:
         """Element-wise level conversion with the fused kernel's exact merge.
 
-        For level-grid converters that cannot use a transfer LUT, in
-        practice under continuous noise.  One float32 GEMM per segment
-        yields every cycle's bit-line values.  Each (segment, cycle) block
-        is perturbed into one reused float64 buffer (the same keyed draws
+        For level-grid converters under continuous noise, where a transfer
+        LUT over integer bit-line values no longer applies.  One float32
+        GEMM per segment yields every cycle's bit-line values.  Each
+        (segment, cycle) block is perturbed into one reused float64 buffer (the same keyed draws
         as the reference loop), converted to integer levels in place by
         ``adc.convert_levels(..., out=...)``, and shift-added into the int64
         ``collapsed`` sums.  The merge GEMM then scales once per output.
@@ -696,10 +696,7 @@ class MappedMVMLayer:
             for cycle_index, block in enumerate(blocks):
                 if partial_observer is not None:
                     partial_observer(block)
-                if noise is None:
-                    np.copyto(noisy, block)
-                else:
-                    noise.perturb_block(block, segment_index, cycle_index, out=noisy)
+                noise.perturb_block(block, segment_index, cycle_index, out=noisy)
                 levels, ops = adc.convert_levels(noisy, out=noisy)
                 total_ops += int(ops)
                 np.multiply(
